@@ -185,7 +185,7 @@ var (
 	// as a per-run failure instead of a panic.
 	ErrScheduleDiverged = sched.ErrScheduleDiverged
 	// OpIndependent is the commutation relation partial-order reduction
-	// derives from the "<object>.<kind>" op-naming contract.
+	// uses, applied to recorded "<object>.<kind>" step labels.
 	OpIndependent = sched.OpIndependent
 	// Timeline and ScheduleSummary render recorded schedules for humans.
 	Timeline        = sched.Timeline

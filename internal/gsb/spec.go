@@ -139,7 +139,15 @@ func (s Spec) Verify(outputs []int) error {
 	if len(outputs) != s.n {
 		return fmt.Errorf("gsb: output vector has %d entries, want n=%d", len(outputs), s.n)
 	}
-	counts := make([]int, s.M())
+	// Small specs count on the stack: verification runs once per
+	// explored schedule.
+	var buf [16]int
+	var counts []int
+	if s.M() <= len(buf) {
+		counts = buf[:s.M()]
+	} else {
+		counts = make([]int, s.M())
+	}
 	for i, v := range outputs {
 		if v < 1 || v > s.M() {
 			return fmt.Errorf("gsb: process %d decided %d, outside [1..%d]", i, v, s.M())

@@ -18,23 +18,24 @@ import (
 // proposal the object receives — the strongest adversary cannot do
 // otherwise for validity).
 type Consensus struct {
-	name    string
+	op      *sched.Op
 	decided bool
 	value   int
 }
 
 // NewConsensus allocates a consensus object.
-func NewConsensus(name string) *Consensus { return &Consensus{name: name} }
+func NewConsensus(name string) *Consensus {
+	return &Consensus{op: sched.Object(name).Op(sched.KindPropose)}
+}
 
 // Propose submits v and returns the decided value (one step).
 func (c *Consensus) Propose(p *sched.Proc, v int) int {
-	return p.Exec(c.name+".propose", func() any {
-		if !c.decided {
-			c.decided = true
-			c.value = v
-		}
-		return c.value
-	}).(int)
+	p.Step(c.op)
+	if !c.decided {
+		c.decided = true
+		c.value = v
+	}
+	return c.value
 }
 
 // KSetAgreement is a k-set agreement object: every invoker decides a
@@ -42,7 +43,7 @@ func (c *Consensus) Propose(p *sched.Proc, v int) int {
 // keeps the first k distinct proposals as the decidable set and routes
 // every caller to one of them (its own proposal when possible).
 type KSetAgreement struct {
-	name   string
+	op     *sched.Op
 	k      int
 	chosen []int
 }
@@ -52,21 +53,20 @@ func NewKSetAgreement(name string, k int) *KSetAgreement {
 	if k < 1 {
 		panic(fmt.Sprintf("mem: k-set agreement needs k >= 1, got %d", k))
 	}
-	return &KSetAgreement{name: name, k: k}
+	return &KSetAgreement{op: sched.Object(name).Op(sched.KindPropose), k: k}
 }
 
 // Propose submits v and returns a decided value (one step).
 func (s *KSetAgreement) Propose(p *sched.Proc, v int) int {
-	return p.Exec(s.name+".propose", func() any {
-		for _, c := range s.chosen {
-			if c == v {
-				return v
-			}
-		}
-		if len(s.chosen) < s.k {
-			s.chosen = append(s.chosen, v)
+	p.Step(s.op)
+	for _, c := range s.chosen {
+		if c == v {
 			return v
 		}
-		return s.chosen[0]
-	}).(int)
+	}
+	if len(s.chosen) < s.k {
+		s.chosen = append(s.chosen, v)
+		return v
+	}
+	return s.chosen[0]
 }

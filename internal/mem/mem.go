@@ -5,11 +5,15 @@
 // registers, and the oracle objects used by enriched models ASM_{n,t}[T]
 // (test-and-set, fetch&increment, GSB task boxes).
 //
-// Every operation is linearized through sched.Proc.Exec, so an operation
-// is exactly one "step" of the paper's runs. Values stored in registers
-// must be treated as immutable by protocol code: registers copy the value
-// header only (Go assignment), so mutating a stored slice after writing it
-// would break atomicity.
+// Every operation is one typed step (sched.Op): an object interns its
+// name once, at construction (sched.Object), and each operation requests
+// its prebuilt Op with sched.Proc.Step and applies its effect as soon as
+// the step is granted — at the step's linearization point, before any
+// other process runs — so an operation is exactly one "step" of the
+// paper's runs, and a step allocates nothing and builds no strings.
+// Values stored in registers must be treated as immutable by protocol
+// code: registers copy the value header only (Go assignment), so mutating
+// a stored slice after writing it would break atomicity.
 //
 // Register and snapshot semantics are model-mediated (sched.MemModel,
 // docs/models.md): under the default atomic model every operation is the
@@ -36,6 +40,7 @@ package mem
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/sched"
 )
@@ -43,81 +48,67 @@ import (
 // Array is an array of n single-writer/multi-reader atomic registers.
 // Entry i may be written only by the process with index i.
 type Array[T any] struct {
-	name    string
-	vals    []T
-	written []bool
-	// open counts open write windows per register under the two-phase
-	// models (see the package comment); nil until the first two-phase
-	// write, so the atomic hot path allocates nothing extra.
-	open []int
+	ops   *sched.ObjectOps
+	cells []cell[T]
+}
+
+// cell is one register: its committed value, whether it was ever written,
+// and (under the two-phase models, see the package comment) how many
+// write windows are open on it.
+type cell[T any] struct {
+	val     T
+	written bool
+	open    int
 }
 
 // NewArray allocates an array of n 1WnR registers holding zero values.
 func NewArray[T any](name string, n int) *Array[T] {
-	return &Array[T]{name: name, vals: make([]T, n), written: make([]bool, n)}
+	return &Array[T]{ops: sched.Object(name), cells: make([]cell[T], n)}
 }
 
 // Len returns the number of registers.
-func (a *Array[T]) Len() int { return len(a.vals) }
+func (a *Array[T]) Len() int { return len(a.cells) }
 
 // Write stores v in the caller's register: one step under the atomic
 // model, a write-start/write-commit step pair under the two-phase models.
+//
+//gsb:hotpath
 func (a *Array[T]) Write(p *sched.Proc, v T) {
+	c := &a.cells[p.Index()]
 	if p.Model().TwoPhaseWrites() {
-		i := p.Index()
-		p.Exec(a.name+".write-start", func() any {
-			if a.open == nil {
-				a.open = make([]int, len(a.vals))
-			}
-			a.open[i]++
-			return nil
-		})
-		p.Exec(a.name+".write-commit", func() any {
-			a.vals[i] = v
-			a.written[i] = true
-			a.open[i]--
-			return nil
-		})
+		p.Step(a.ops.Op(sched.KindWriteStart))
+		c.open++
+		p.Step(a.ops.Op(sched.KindWriteCommit))
+		c.val, c.written = v, true
+		c.open--
 		return
 	}
-	p.Exec(a.name+".write", func() any {
-		a.vals[p.Index()] = v
-		a.written[p.Index()] = true
-		return nil
-	})
+	p.Step(a.ops.Op(sched.KindWrite))
+	c.val, c.written = v, true
 }
 
 // Read returns the value of register j (one step) and whether it has ever
 // been written. Under the safe model a read overlapping an open write
 // window returns the unwritten zero value.
+//
+//gsb:hotpath
 func (a *Array[T]) Read(p *sched.Proc, j int) (T, bool) {
-	if p.Model().SafeReads() {
-		res := p.Exec(a.name+".read", func() any {
-			if a.open != nil && a.open[j] > 0 {
-				return readResult[T]{}
-			}
-			return readResult[T]{val: a.vals[j], ok: a.written[j]}
-		}).(readResult[T])
-		return res.val, res.ok
+	p.Step(a.ops.Op(sched.KindRead))
+	c := &a.cells[j]
+	if c.open > 0 && p.Model().SafeReads() {
+		var zero T
+		return zero, false
 	}
-	res := p.Exec(a.name+".read", func() any {
-		return readResult[T]{val: a.vals[j], ok: a.written[j]}
-	}).(readResult[T])
-	return res.val, res.ok
-}
-
-type readResult[T any] struct {
-	val T
-	ok  bool
+	return c.val, c.written
 }
 
 // Collect reads all n registers one by one (n steps). Entry j of the
 // returned slices is register j's value and written-flag. A collect is
 // not atomic: values may come from different points in time.
 func (a *Array[T]) Collect(p *sched.Proc) ([]T, []bool) {
-	vals := make([]T, len(a.vals))
-	oks := make([]bool, len(a.vals))
-	for j := range a.vals {
+	vals := make([]T, len(a.cells))
+	oks := make([]bool, len(a.cells))
+	for j := range a.cells {
 		vals[j], oks[j] = a.Read(p, j)
 	}
 	return vals, oks
@@ -127,7 +118,8 @@ func (a *Array[T]) Collect(p *sched.Proc) ([]T, []bool) {
 // assumes snapshots are available without loss of generality because they
 // are wait-free implementable from 1WnR registers (Afek et al.); package
 // mem also provides that construction (SnapshotObject) and tests that the
-// two agree observationally.
+// two agree observationally. The returned slices are fresh: the caller
+// owns them.
 func (a *Array[T]) Snapshot(p *sched.Proc) ([]T, []bool) {
 	if p.Model().StaleSnapshots() {
 		// The stale-snapshot model degrades the one-step snapshot into a
@@ -135,19 +127,13 @@ func (a *Array[T]) Snapshot(p *sched.Proc) ([]T, []bool) {
 		// mutually consistent.
 		return a.Collect(p)
 	}
-	res := p.Exec(a.name+".snapshot", func() any {
-		vals := make([]T, len(a.vals))
-		oks := make([]bool, len(a.vals))
-		copy(vals, a.vals)
-		copy(oks, a.written)
-		return snapResult[T]{vals: vals, oks: oks}
-	}).(snapResult[T])
-	return res.vals, res.oks
-}
-
-type snapResult[T any] struct {
-	vals []T
-	oks  []bool
+	p.Step(a.ops.Op(sched.KindSnapshot))
+	vals := make([]T, len(a.cells))
+	oks := make([]bool, len(a.cells))
+	for j := range a.cells {
+		vals[j], oks[j] = a.cells[j].val, a.cells[j].written
+	}
+	return vals, oks
 }
 
 // Reg is a multi-writer/multi-reader atomic register (one step per
@@ -155,89 +141,128 @@ type snapResult[T any] struct {
 // the standard hardware register used by auxiliary constructions such as
 // splitters, and ConstructedMWMR shows how to build it from 1WnR.
 type Reg[T any] struct {
-	name    string
-	val     T
-	written bool
-	// open counts open write windows under the two-phase models.
-	open int
+	ops *sched.ObjectOps
+	cell[T]
 }
 
 // NewReg allocates a multi-writer register holding the zero value.
-func NewReg[T any](name string) *Reg[T] { return &Reg[T]{name: name} }
+func NewReg[T any](name string) *Reg[T] { return &Reg[T]{ops: sched.Object(name)} }
 
 // Write stores v: one step under the atomic model, a write-start/
 // write-commit step pair under the two-phase models.
+//
+//gsb:hotpath
 func (r *Reg[T]) Write(p *sched.Proc, v T) {
 	if p.Model().TwoPhaseWrites() {
-		p.Exec(r.name+".write-start", func() any {
-			r.open++
-			return nil
-		})
-		p.Exec(r.name+".write-commit", func() any {
-			r.val = v
-			r.written = true
-			r.open--
-			return nil
-		})
+		p.Step(r.ops.Op(sched.KindWriteStart))
+		r.open++
+		p.Step(r.ops.Op(sched.KindWriteCommit))
+		r.val, r.written = v, true
+		r.open--
 		return
 	}
-	p.Exec(r.name+".write", func() any {
-		r.val = v
-		r.written = true
-		return nil
-	})
+	p.Step(r.ops.Op(sched.KindWrite))
+	r.val, r.written = v, true
 }
 
 // Read returns the current value (one step). Under the safe model a read
 // overlapping an open write window returns the unwritten zero value.
+//
+//gsb:hotpath
 func (r *Reg[T]) Read(p *sched.Proc) (T, bool) {
-	res := p.Exec(r.name+".read", func() any {
-		if r.open > 0 && p.Model().SafeReads() {
-			return readResult[T]{}
-		}
-		return readResult[T]{val: r.val, ok: r.written}
-	}).(readResult[T])
-	return res.val, res.ok
+	p.Step(r.ops.Op(sched.KindRead))
+	if r.open > 0 && p.Model().SafeReads() {
+		var zero T
+		return zero, false
+	}
+	return r.val, r.written
 }
 
 // TAS is a one-shot test-and-set object: the first invoker wins. It is an
 // oracle object (not wait-free implementable from registers); the paper
 // uses such objects to define enriched models ASM_{n,t}[T].
 type TAS struct {
-	name string
-	set  bool
+	op  *sched.Op
+	set bool
 }
 
 // NewTAS allocates a test-and-set object.
-func NewTAS(name string) *TAS { return &TAS{name: name} }
+func NewTAS(name string) *TAS { return &TAS{op: sched.Object(name).Op(sched.KindTAS)} }
 
 // TestAndSet returns true iff the caller is the first invoker (one step).
+//
+//gsb:hotpath
 func (t *TAS) TestAndSet(p *sched.Proc) bool {
-	return p.Exec(t.name+".tas", func() any {
-		if t.set {
-			return false
+	p.Step(t.op)
+	won := !t.set
+	t.set = true
+	return won
+}
+
+// joinedNames caches JoinName results.
+var joinedNames sync.Map // [2]string -> string
+
+// JoinName returns parent+suffix, the name of a sub-object. The result is
+// cached per (parent, suffix), so a protocol that names its sub-objects
+// on every build allocates no strings for them after the first.
+func JoinName(parent, suffix string) string {
+	key := [2]string{parent, suffix}
+	if s, ok := joinedNames.Load(key); ok {
+		return s.(string)
+	}
+	s, _ := joinedNames.LoadOrStore(key, parent+suffix)
+	return s.(string)
+}
+
+// tasRows caches the interned test-and-set ops of each row NewTASRow
+// builds, keyed by (name, n).
+var tasRows sync.Map // tasRowKey -> []*sched.Op
+
+type tasRowKey struct {
+	name string
+	n    int
+}
+
+// NewTASRow allocates n test-and-set objects named name[1] .. name[n] in
+// one block. The names are formatted and interned on the first call for
+// (name, n) only, so protocols that build a row per re-executed run pay
+// one allocation for it.
+func NewTASRow(name string, n int) []TAS {
+	key := tasRowKey{name, n}
+	ops, ok := tasRows.Load(key)
+	if !ok {
+		row := make([]*sched.Op, n)
+		for k := range row {
+			row[k] = sched.Object(fmt.Sprintf("%s[%d]", name, k+1)).Op(sched.KindTAS)
 		}
-		t.set = true
-		return true
-	}).(bool)
+		ops, _ = tasRows.LoadOrStore(key, row)
+	}
+	row := make([]TAS, n)
+	for k, op := range ops.([]*sched.Op) {
+		row[k].op = op
+	}
+	return row
 }
 
 // FetchInc is a fetch&increment counter oracle object.
 type FetchInc struct {
-	name string
+	op   *sched.Op
 	next int
 }
 
 // NewFetchInc allocates a counter whose first FetchInc returns 0.
-func NewFetchInc(name string) *FetchInc { return &FetchInc{name: name} }
+func NewFetchInc(name string) *FetchInc {
+	return &FetchInc{op: sched.Object(name).Op(sched.KindFetchInc)}
+}
 
 // FetchInc atomically returns the current count and increments it.
+//
+//gsb:hotpath
 func (f *FetchInc) FetchInc(p *sched.Proc) int {
-	return p.Exec(f.name+".fetchinc", func() any {
-		v := f.next
-		f.next++
-		return v
-	}).(int)
+	p.Step(f.op)
+	v := f.next
+	f.next++
+	return v
 }
 
 // Validate panics unless 0 <= idx < n; used by objects that key state by

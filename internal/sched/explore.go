@@ -34,68 +34,73 @@ var ErrExplorationBudget = errors.New("sched: exploration budget exhausted")
 var ErrScheduleDiverged = errors.New("sched: schedule replay diverged (non-deterministic protocol?)")
 
 // explorePolicy replays a fixed prefix of choices, then always picks the
-// smallest pending process, recording every decision point's pending set.
+// smallest pending process, recording the pending set of every decision
+// past the prefix (the only ones that branch). Like porPolicy it is
+// per-worker scratch: reset re-arms it and its flat arena keeps its
+// capacity across runs.
 type explorePolicy struct {
 	prefix  []int
-	choices []int   // process chosen at each decision
-	pending [][]int // pending set observed at each decision
+	choices []int // process chosen at each decision
+	// pend holds the pending sets of the post-prefix decisions back to
+	// back; decision len(prefix)+j's set is pend[pendEnd[j-1]:pendEnd[j]]
+	// (from 0 for j = 0).
+	pend    []int
+	pendEnd []int
+	items   []frontierItem
+}
+
+// reset re-arms the policy to replay prefix, keeping every buffer's
+// capacity.
+func (e *explorePolicy) reset(prefix []int) {
+	e.prefix = prefix
+	e.choices, e.pend, e.pendEnd = e.choices[:0], e.pend[:0], e.pendEnd[:0]
 }
 
 // Next implements Policy.
+//
+//gsb:hotpath
 func (e *explorePolicy) Next(pending []int, _ int) Decision {
 	step := len(e.choices)
-	var pick int
 	if step < len(e.prefix) {
-		pick = e.prefix[step]
-		found := false
-		for _, p := range pending {
-			if p == pick {
-				found = true
-				break
-			}
-		}
-		if !found {
+		pick := e.prefix[step]
+		if !containsSorted(pending, pick) {
 			return Decision{Abort: true, Err: fmt.Errorf("%w: exploration prefix chose %d but pending is %v", ErrScheduleDiverged, pick, pending)}
 		}
-	} else {
-		pick = pending[0]
+		e.choices = append(e.choices, pick) //gsb:alloc-ok per-worker scratch, reset keeps its capacity
+		return Decision{Proc: pick}
 	}
-	e.choices = append(e.choices, pick)
-	e.pending = append(e.pending, append([]int(nil), pending...))
-	return Decision{Proc: pick}
+	e.choices = append(e.choices, pending[0])  //gsb:alloc-ok per-worker scratch, reset keeps its capacity
+	e.pend = append(e.pend, pending...)        //gsb:alloc-ok per-worker arena, reset keeps its capacity
+	e.pendEnd = append(e.pendEnd, len(e.pend)) //gsb:alloc-ok per-worker arena, reset keeps its capacity
+	return Decision{Proc: pending[0]}
 }
 
 // runChoices implements explorerPolicy.
 func (e *explorePolicy) runChoices() []int { return e.choices }
 
-// branchItems implements explorerPolicy (exhaustive mode: no sleep sets).
+// branchItems implements explorerPolicy (exhaustive mode: no sleep
+// sets): for every decision point past the replayed prefix, one new
+// prefix per pending process larger than the one chosen (the chosen
+// process is always the smallest pending), in decision order. The
+// returned slice is the policy's scratch, valid until the next reset.
 func (e *explorePolicy) branchItems() []frontierItem {
-	bs := e.branches()
-	out := make([]frontierItem, len(bs))
-	for i, b := range bs {
-		out[i] = frontierItem{choices: b}
-	}
-	return out
-}
-
-// branches returns the unexplored sibling prefixes of a completed (or
-// aborted) run: for every decision point at or past the replayed prefix,
-// one new prefix per pending process larger than the one chosen (the
-// chosen process is always the smallest pending).
-func (e *explorePolicy) branches() [][]int {
-	var out [][]int
-	for i := len(e.prefix); i < len(e.choices); i++ {
+	out := e.items[:0]
+	start := 0
+	for j, end := range e.pendEnd {
+		i := len(e.prefix) + j
 		chosen := e.choices[i]
-		for _, alt := range e.pending[i] {
+		for _, alt := range e.pend[start:end] {
 			if alt <= chosen {
 				continue
 			}
 			branch := make([]int, i+1)
 			copy(branch, e.choices[:i])
 			branch[i] = alt
-			out = append(out, branch)
+			out = append(out, frontierItem{choices: branch})
 		}
+		start = end
 	}
+	e.items = out
 	return out
 }
 
@@ -156,7 +161,9 @@ func ExploreSequential(n int, ids []int, maxRuns, maxSteps int, build func() Bod
 		if err := check(res); err != nil {
 			return runs, fmt.Errorf("sched: schedule %v violates property: %w", policy.choices, err)
 		}
-		stack = append(stack, policy.branches()...)
+		for _, it := range policy.branchItems() {
+			stack = append(stack, it.choices)
+		}
 	}
 	return runs, nil
 }

@@ -330,11 +330,13 @@ type explorer struct {
 	// frontier items — leaving the remaining frontier collectable — when
 	// pause returns true or total claimed runs reach sliceLimit; items
 	// already popped are always processed to completion, so a paused
-	// frontier plus the counters is an exact resume point.
+	// frontier plus the counters is an exact resume point. With a slice
+	// limit, claimMu makes a worker's limit check, pop and claim one step,
+	// so concurrent workers cannot claim past the limit between them.
 	pause      func() bool
 	sliceLimit int64
+	claimMu    sync.Mutex
 
-	indep Independence   // commutation oracle; nil without reduction
 	memo  *traceMemo     // canonical-trace dedupe; nil unless ReductionSleepMemo
 	met   *engineMetrics // resolved stats handles; nil when opts.Stats is nil
 	model MemModel       // resolved opts.Model, applied to every worker runner
@@ -351,9 +353,6 @@ func newExplorer(ctx context.Context, n int, ids []int, opts ExploreOptions, bui
 		build: build,
 		check: check,
 		bound: bound,
-	}
-	if opts.Reduction != ReductionNone {
-		e.indep = OpIndependent
 	}
 	if opts.Reduction == ReductionSleepMemo {
 		e.memo = newTraceMemo()
@@ -402,28 +401,43 @@ func (e *explorer) runWorkers() {
 	wg.Wait()
 }
 
+// workerScratch is what one worker reuses across every run it executes:
+// the runner and both prefix-replay policies. Frontier prefixes and the
+// protocol instance are the only per-run allocations left.
+type workerScratch struct {
+	runner  *Runner
+	explore explorePolicy
+	por     porPolicy
+}
+
+// policyFor re-arms the policy the exploration's reduction calls for.
+func (e *explorer) policyFor(ws *workerScratch, item frontierItem) explorerPolicy {
+	if e.opts.Reduction != ReductionNone {
+		ws.por.reset(item.choices, item.sleep)
+		return &ws.por
+	}
+	ws.explore.reset(item.choices)
+	return &ws.explore
+}
+
 func (e *explorer) worker(w int) {
 	// The rng only picks steal victims; exploration results never depend
 	// on it (see the determinism contract above).
 	rng := rand.New(rand.NewSource(int64(uint64(e.opts.Seed) ^ 0x9e3779b97f4a7c15*uint64(w+1))))
-	// One reusable runner per worker: Reset re-arms it for every prefix
-	// re-execution, so the steady-state hot path allocates nothing but
-	// the per-run policy and protocol instance.
-	runner := NewRunner(e.n, e.ids, nil, WithMaxSteps(e.opts.MaxSteps), WithReuse(), WithModel(e.model))
-	defer runner.Close()
+	// One reusable runner and policy per worker: reset re-arms them for
+	// every prefix re-execution.
+	ws := &workerScratch{runner: NewRunner(e.n, e.ids, nil, WithMaxSteps(e.opts.MaxSteps), WithReuse(), WithModel(e.model))}
+	defer ws.runner.Close()
 	idle := 0
 	for {
 		if e.ctx.Err() != nil {
 			return
 		}
-		if e.stopClaiming() {
+		item, st := e.claim(w, rng)
+		switch st {
+		case claimStop:
 			return
-		}
-		item, ok := e.popOwn(w)
-		if !ok {
-			item, ok = e.steal(w, rng)
-		}
-		if !ok {
+		case claimEmpty:
 			if e.pending.Load() == 0 {
 				return
 			}
@@ -434,12 +448,56 @@ func (e *explorer) worker(w int) {
 				runtime.Gosched()
 			}
 			continue
+		case claimRun:
+			e.process(w, item, ws)
 		}
 		idle = 0
-		e.process(w, item, runner)
 		e.pending.Add(-1)
 		e.met.setFrontier(e.pending.Load())
 	}
+}
+
+// claimStatus is the outcome of one claim attempt.
+type claimStatus int
+
+const (
+	claimRun   claimStatus = iota // an item was popped and a run-budget slot claimed for it
+	claimDone                     // an item was popped and dropped (pruned, or the budget is spent)
+	claimEmpty                    // no frontier item is available right now
+	claimStop                     // a checkpoint pause point fired
+)
+
+// claim pops the worker's next frontier item and claims a run-budget slot
+// for it. The pause check, the pop and the claim form one step under
+// claimMu when a slice limit is set: otherwise two workers could both pass
+// the limit check before either claims, and a slice would end one run
+// past its limit. Nothing is claimed for an empty pop or a pruned item,
+// so MaxRuns accounting stays exact.
+func (e *explorer) claim(w int, rng *rand.Rand) (frontierItem, claimStatus) {
+	if e.sliceLimit > 0 {
+		e.claimMu.Lock()
+		defer e.claimMu.Unlock()
+	}
+	if e.stopClaiming() {
+		return frontierItem{}, claimStop
+	}
+	item, ok := e.popOwn(w)
+	if !ok {
+		item, ok = e.steal(w, rng)
+	}
+	if !ok {
+		return frontierItem{}, claimEmpty
+	}
+	if b := e.pruneBound(); b != nil && !prefixViable(item.choices, b) {
+		e.met.incPrunes()
+		return item, claimDone
+	}
+	if e.claimed.Add(1) > int64(e.opts.MaxRuns) {
+		e.budgetHit.Store(true)
+		e.cancel()
+		return item, claimDone
+	}
+	return item, claimRun
 }
 
 func (e *explorer) pushTo(w int, item frontierItem) {
@@ -515,28 +573,15 @@ func (e *explorer) recordFailure(choices []int, err error) {
 	}
 }
 
-// process executes the run scripted by item's prefix on the worker's
-// reused runner and pushes its unexplored sibling prefixes.
-func (e *explorer) process(w int, item frontierItem, runner *Runner) {
-	if b := e.pruneBound(); b != nil && !prefixViable(item.choices, b) {
-		e.met.incPrunes()
-		return
-	}
-	if e.claimed.Add(1) > int64(e.opts.MaxRuns) {
-		e.budgetHit.Store(true)
-		e.cancel()
-		return
-	}
+// process executes the run scripted by item's prefix (claim has taken
+// its run-budget slot) on the worker's reused runner and policy, and
+// pushes its unexplored sibling prefixes.
+func (e *explorer) process(w int, item frontierItem, ws *workerScratch) {
 	e.met.incRuns()
 
-	var policy explorerPolicy
-	if e.opts.Reduction != ReductionNone {
-		policy = &porPolicy{indep: e.indep, prefix: item.choices, sleep0: item.sleep}
-	} else {
-		policy = &explorePolicy{prefix: item.choices}
-	}
-	runner.Reset(policy)
-	res, err := runner.Run(e.build())
+	policy := e.policyFor(ws, item)
+	ws.runner.Reset(policy)
+	res, err := ws.runner.Run(e.build())
 	switch {
 	case errors.Is(err, ErrRunAborted):
 		// A sleep-set probe: every continuation of this run is
@@ -583,7 +628,7 @@ func (e *explorer) admit(res *Result) bool {
 	if e.memo == nil {
 		return true
 	}
-	return e.memo.admit(CanonicalTraceHash(res.Schedule, e.indep))
+	return e.memo.admit(CanonicalTraceHash(res.Schedule, OpIndependent))
 }
 
 // lexLess reports whether choice sequence a precedes b lexicographically

@@ -1,30 +1,41 @@
 package sched
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"slices"
-	"sort"
-	"strings"
 	"sync"
 )
 
-// This file derives the independence (commutation) relation that drives
-// partial-order reduction from the op-naming contract of package mem:
-// every shared-memory operation is labeled "<object>.<kind>" (for example
-// "A.read", "KS.invoke", "T.tas"), and the decide step — the write to the
-// process's own write-once output register — is labeled "decide". Two
-// pending steps of distinct processes commute when they touch distinct
-// objects, or when both only read the same object; swapping two commuting
-// adjacent steps changes neither the final shared state nor any value
-// returned to a process, so the two schedules are equivalent in the
-// Mazurkiewicz-trace sense and only one representative needs executing.
+// This file is the independence (commutation) relation that drives
+// partial-order reduction. It is defined on typed operations (Op, op.go):
+// every shared-memory step names the interned object it touches, its
+// kind, and whether it is read-only or touches an object private to the
+// invoking process (only the decide step — the write to the process's own
+// write-once output register — is). Package mem builds each object's Ops
+// once, at construction, so the relation is a handful of integer compares
+// and never looks at a string. Two pending steps of distinct processes
+// commute when they touch distinct objects, or when both only read the
+// same object; swapping two commuting adjacent steps changes neither the
+// final shared state nor any value returned to a process, so the two
+// schedules are equivalent in the Mazurkiewicz-trace sense and only one
+// representative needs executing.
 //
-// Labels that do not follow the contract (no '.' separator, e.g. the bare
-// "noop"/"read"/"write" labels some tests use) are treated as touching one
-// global unknown object with writes — i.e. dependent on everything — so
-// reduction degrades to exhaustive exploration instead of becoming
-// unsound.
+// Recorded schedules carry each step's label (Step.Op, "<object>.<kind>"
+// or "decide"). ParseOp maps a label back onto the same typed Op, and
+// OpIndependent — the relation over labels that CanonicalTraceHash and the
+// samplers use — feeds the facts it reads off two labels to the same
+// commute function as IndependentOps: one relation, not two. Steps
+// requested through the untyped Proc.Exec are parsed with ParseOp. Labels
+// outside the contract (no '.' separator, e.g. the bare
+// "noop"/"read"/"write" labels some tests use) touch an unknown object
+// and conflict with everything, so reduction degrades to exhaustive
+// exploration instead of becoming unsound.
+//
+// The weak memory models (memmodel.go) decompose a write into a
+// write-start/write-commit step pair. Neither kind is read-only, so both
+// phases conflict with every other op on the same object exactly as a
+// one-step write does — the relation stays conservatively sound without
+// model-specific cases, at the cost of exploring the (deliberately
+// larger) weak-model state space.
 
 // Independence reports whether the pending operations opA of process
 // procA and opB of process procB (procA != procB) commute: executing them
@@ -33,61 +44,44 @@ import (
 // conflicting steps makes partial-order reduction skip real schedules.
 type Independence func(procA int, opA string, procB int, opB string) bool
 
-// readOnlyKinds are the op-name suffixes of operations that never mutate
-// their object; any two of them on the same object commute.
+// IndependentOps is the commutation relation on typed operations: steps
+// of distinct processes commute iff they touch distinct objects (a
+// per-process object never aliases another process's) or are both
+// read-only operations on the same object. An op of unknown footprint
+// (Obj 0) conflicts with everything.
 //
-// The weak memory models (memmodel.go) decompose a write into a
-// "write-start"/"write-commit" step pair. Neither kind appears here, so
-// both phases conflict with every other op on the same object exactly as
-// a one-step "write" does — the relation consults the model's op labels
-// and stays conservatively sound without model-specific cases, at the
-// cost of exploring the (deliberately larger) weak-model state space.
-var readOnlyKinds = map[string]bool{
-	"read":     true,
-	"snapshot": true,
+//gsb:hotpath
+func IndependentOps(procA int, a Op, procB int, b Op) bool {
+	return procA != procB &&
+		commute(a.Obj != 0, b.Obj != 0, a.PerProc || b.PerProc, a.Obj == b.Obj, a.ReadOnly && b.ReadOnly)
 }
 
-// opFootprint parses an operation label into the object it touches.
-// perProc marks labels (currently only "decide") whose object is private
-// to the invoking process, so that invocations by distinct processes
-// never conflict. known is false for labels outside the naming contract,
-// which callers must treat as conflicting with everything.
-func opFootprint(op string) (object string, perProc, readOnly, known bool) {
-	if op == "decide" {
-		return "decide", true, false, true
-	}
-	i := strings.LastIndexByte(op, '.')
-	if i < 0 {
-		return "", false, false, false
-	}
-	return op[:i], false, readOnlyKinds[op[i+1:]], true
-}
-
-// OpIndependent is the Independence relation used by ExploreOptions.
-// Reduction: steps of distinct processes commute iff they touch distinct
-// objects (per the "<object>.<kind>" naming contract, with "decide"
-// touching a per-process output register) or are both read-only
-// operations on the same object. Unrecognized labels conflict with
-// everything (sound fallback).
+// OpIndependent is IndependentOps over step labels — the Independence
+// relation CanonicalTraceHash and the samplers apply to recorded
+// schedules. It reads the facts the relation needs straight off the
+// labels, without interning: the same parse as ParseOp, and objects
+// compare equal by name exactly when their interned ids do.
 func OpIndependent(procA int, opA string, procB int, opB string) bool {
 	if procA == procB {
 		return false
 	}
-	objA, perA, roA, okA := opFootprint(opA)
-	objB, perB, roB, okB := opFootprint(opB)
-	if !okA || !okB {
+	a, b := footprintOf(opA), footprintOf(opB)
+	return commute(a.known, b.known, a.kind == KindDecide || b.kind == KindDecide,
+		a.object == b.object, a.kind.ReadOnly() && b.kind.ReadOnly())
+}
+
+// commute is the relation itself, for two steps of distinct processes:
+// knownA/knownB say whether each footprint is known, perProc whether
+// either touches a per-process object, sameObject whether they touch the
+// same object and bothReadOnly whether neither modifies it.
+func commute(knownA, knownB, perProc, sameObject, bothReadOnly bool) bool {
+	switch {
+	case !knownA || !knownB:
 		return false
-	}
-	if perA != perB {
-		return true // a per-process object never aliases a named object
-	}
-	if perA {
-		return true // same per-process label, distinct processes
-	}
-	if objA != objB {
+	case perProc, !sameObject:
 		return true
 	}
-	return roA && roB
+	return bothReadOnly
 }
 
 // dependentStep reports whether recorded steps a and b conflict: same
@@ -105,49 +99,78 @@ func dependentStep(a, b Step, indep Independence) bool {
 // so the hash identifies the run's Mazurkiewicz trace class (and, for the
 // deterministic protocols this engine executes, the final register
 // contents, which are a function of the class). The memo layer of the
-// reduction uses it to avoid double-counting a class.
+// reduction and the samplers' class coverage use it, once per run, so it
+// works in scratch space (on the stack for schedules of up to 96 steps)
+// and hashes with an inlined FNV-1a.
 func CanonicalTraceHash(schedule []Step, indep Independence) uint64 {
 	// Foata normal form: place each step in the level just below the
 	// deepest level holding a step it depends on. Steps within a level
 	// are pairwise independent, hence from distinct processes, and are
-	// canonically ordered by process index.
-	var levels [][]Step
-	for _, s := range schedule {
+	// canonically ordered by process index. The steps of level l are
+	// linked from head[l] through prev, latest first.
+	n := len(schedule)
+	var stack [3 * 96]int32
+	var scratch []int32
+	if 3*n <= len(stack) {
+		scratch = stack[:3*n]
+	} else {
+		scratch = make([]int32, 3*n)
+	}
+	head, prev, members := scratch[:n], scratch[n:2*n], scratch[2*n:]
+	depth := 0
+	for i, s := range schedule {
 		d := 0
-		for l := len(levels); l >= 1; l-- {
-			if levelDepends(levels[l-1], s, indep) {
-				d = l
-				break
+	scan:
+		for l := depth - 1; l >= 0; l-- {
+			for u := head[l]; u >= 0; u = prev[u] {
+				if dependentStep(schedule[u], s, indep) {
+					d = l + 1
+					break scan
+				}
 			}
 		}
-		if d == len(levels) {
-			levels = append(levels, nil)
+		if d == depth {
+			head[d] = -1
+			depth++
 		}
-		levels[d] = append(levels[d], s)
+		prev[i], head[d] = head[d], int32(i)
 	}
-	h := fnv.New64a()
-	var buf [4]byte
-	for _, level := range levels {
-		sort.Slice(level, func(i, j int) bool { return level[i].Proc < level[j].Proc })
-		for _, s := range level {
-			binary.LittleEndian.PutUint32(buf[:], uint32(s.Proc))
-			h.Write(buf[:])
-			h.Write([]byte(s.Op))
-			h.Write([]byte{0})
+
+	h := uint64(fnvOffset64)
+	for l := 0; l < depth; l++ {
+		// Insertion-sort the level's steps by process (levels hold at
+		// most one step per process).
+		level := members[:0]
+		for u := head[l]; u >= 0; u = prev[u] {
+			k := len(level)
+			level = append(level, u)
+			for ; k > 0 && schedule[level[k-1]].Proc > schedule[u].Proc; k-- {
+				level[k] = level[k-1]
+			}
+			level[k] = u
 		}
-		h.Write([]byte{0xff})
+		for _, u := range level {
+			s := schedule[u]
+			p := uint32(s.Proc)
+			h = fnvByte(fnvByte(fnvByte(fnvByte(h, byte(p)), byte(p>>8)), byte(p>>16)), byte(p>>24))
+			for j := 0; j < len(s.Op); j++ {
+				h = fnvByte(h, s.Op[j])
+			}
+			h = fnvByte(h, 0)
+		}
+		h = fnvByte(h, 0xff)
 	}
-	return h.Sum64()
+	return h
 }
 
-func levelDepends(level []Step, s Step, indep Independence) bool {
-	for _, u := range level {
-		if dependentStep(u, s, indep) {
-			return true
-		}
-	}
-	return false
-}
+// FNV-1a, 64-bit (hash/fnv's New64a, inlined so hashing a schedule
+// allocates nothing).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
 
 // traceMemo is the optional second reduction layer: a concurrent set of
 // canonical trace hashes. The count it yields — the number of distinct

@@ -41,15 +41,15 @@ type Policy interface {
 
 // OpAwarePolicy is an optional Policy extension. When a policy implements
 // it, the runner calls NextOps instead of Next, additionally passing the
-// label of each pending operation: ops[i] names the operation process
-// pending[i] is blocked on (the name given to Proc.Exec, e.g. "A.read").
-// A process's requested operation cannot change while it is pending, so
-// the labels are exactly the steps the adversary is choosing among.
-// Partial-order reduction uses them to decide which pending steps
-// commute.
+// typed operation of each pending step: ops[i] is the Op process
+// pending[i] is blocked on (Op.Label is its schedule label, e.g.
+// "A.read"). A process's requested operation cannot change while it is
+// pending, so the ops are exactly the steps the adversary is choosing
+// among. Partial-order reduction uses them to decide which pending steps
+// commute (IndependentOps).
 type OpAwarePolicy interface {
 	Policy
-	NextOps(pending []int, ops []string, stepNo int) Decision
+	NextOps(pending []int, ops []Op, stepNo int) Decision
 }
 
 // RoundRobin grants steps to pending processes in cyclic index order.

@@ -71,78 +71,104 @@ var ErrRunAborted = errors.New("sched: run aborted by the scheduling policy")
 // prefix of choices, then descends picking the smallest pending process
 // that is not asleep, maintaining the sleep set across decisions and
 // recording everything branch generation needs. It implements
-// OpAwarePolicy to learn the label of every pending operation; without
-// labels (plain Next) all steps are treated as conflicting and the walk
-// degrades to the exhaustive one.
+// OpAwarePolicy to learn the typed op of every pending step; without ops
+// (plain Next) all steps are treated as conflicting and the walk degrades
+// to the exhaustive one.
+//
+// A porPolicy is per-worker scratch: reset re-arms it for the next run,
+// and its records live in flat arenas that keep their capacity across
+// runs, so a decision allocates nothing in steady state.
 type porPolicy struct {
-	indep  Independence
 	prefix []int
 	sleep0 []int // sleep set at the node reached after prefix
 
 	choices []int
-	// Recorded per post-prefix decision, aligned with
-	// choices[len(prefix):]:
-	pendings [][]int    // pending process set (sorted)
-	opss     [][]string // pending op labels, aligned with pendings
-	sleeps   [][]int    // sleep set at the node (sorted)
+	// Recorded per post-prefix decision j, aligned with
+	// choices[len(prefix):]: the pending set (sorted) with its ops, and
+	// the sleep set (sorted) at the node. Decision j's pending set is
+	// pend[pendEnd[j-1]:pendEnd[j]] (from 0 for j = 0), likewise sleep.
+	pend     []int
+	ops      []Op
+	pendEnd  []int
+	sleep    []int
+	sleepEnd []int
 
 	cur     []int // current sleep set during the descent
+	noOps   []Op  // zero ops (unknown footprint) for the plain Next path
+	items   []frontierItem
 	started bool
-	aborted bool
 }
 
-// Next implements Policy (no op labels: conservative, no reduction).
+// reset re-arms the policy to replay prefix from a node whose sleep set
+// is sleep0, keeping every buffer's capacity.
+func (e *porPolicy) reset(prefix, sleep0 []int) {
+	e.prefix, e.sleep0 = prefix, sleep0
+	e.choices = e.choices[:0]
+	e.pend, e.ops, e.pendEnd = e.pend[:0], e.ops[:0], e.pendEnd[:0]
+	e.sleep, e.sleepEnd = e.sleep[:0], e.sleepEnd[:0]
+	e.cur = e.cur[:0]
+	e.started = false
+}
+
+// Next implements Policy (no ops: conservative, no reduction).
 func (e *porPolicy) Next(pending []int, stepNo int) Decision {
-	return e.decide(pending, nil, stepNo)
+	for len(e.noOps) < len(pending) {
+		e.noOps = append(e.noOps, Op{})
+	}
+	return e.decide(pending, e.noOps[:len(pending)], stepNo)
 }
 
 // NextOps implements OpAwarePolicy.
-func (e *porPolicy) NextOps(pending []int, ops []string, stepNo int) Decision {
+func (e *porPolicy) NextOps(pending []int, ops []Op, stepNo int) Decision {
 	return e.decide(pending, ops, stepNo)
 }
 
-func (e *porPolicy) decide(pending []int, ops []string, _ int) Decision {
+//gsb:hotpath
+func (e *porPolicy) decide(pending []int, ops []Op, _ int) Decision {
 	step := len(e.choices)
 	if step < len(e.prefix) {
 		pick := e.prefix[step]
 		if !containsSorted(pending, pick) {
 			return Decision{Abort: true, Err: fmt.Errorf("%w: exploration prefix chose %d but pending is %v", ErrScheduleDiverged, pick, pending)}
 		}
-		e.choices = append(e.choices, pick)
+		e.choices = append(e.choices, pick) //gsb:alloc-ok per-worker scratch, reset keeps its capacity
 		return Decision{Proc: pick}
 	}
 	if !e.started {
 		e.started = true
-		e.cur = append([]int(nil), e.sleep0...)
-	}
-	if ops == nil {
-		ops = make([]string, len(pending)) // unlabeled: conflicts with everything
+		e.cur = append(e.cur[:0], e.sleep0...) //gsb:alloc-ok per-worker scratch, reset keeps its capacity
 	}
 	// A sleeping process is blocked on its pending request, so it cannot
 	// leave the pending set; the intersection guards the invariant
 	// cur ⊆ pending rather than doing real work.
 	e.cur = intersectSorted(e.cur, pending)
-	allowed := subtractSorted(pending, e.cur)
-	if len(allowed) == 0 {
+	pick := -1
+	for _, p := range pending {
+		if !containsSorted(e.cur, p) {
+			pick = p
+			break
+		}
+	}
+	if pick < 0 {
 		// Every pending step is covered by a subtree explored under a
 		// smaller choice sequence: discard the rest of the run.
-		e.aborted = true
 		return Decision{Abort: true}
 	}
-	pick := allowed[0]
 
-	e.pendings = append(e.pendings, append([]int(nil), pending...))
-	e.opss = append(e.opss, append([]string(nil), ops...))
-	e.sleeps = append(e.sleeps, append([]int(nil), e.cur...))
-	e.choices = append(e.choices, pick)
+	e.pend = append(e.pend, pending...)           //gsb:alloc-ok per-worker arena, reset keeps its capacity
+	e.ops = append(e.ops, ops...)                 //gsb:alloc-ok per-worker arena, reset keeps its capacity
+	e.pendEnd = append(e.pendEnd, len(e.pend))    //gsb:alloc-ok per-worker arena, reset keeps its capacity
+	e.sleep = append(e.sleep, e.cur...)           //gsb:alloc-ok per-worker arena, reset keeps its capacity
+	e.sleepEnd = append(e.sleepEnd, len(e.sleep)) //gsb:alloc-ok per-worker arena, reset keeps its capacity
+	e.choices = append(e.choices, pick)           //gsb:alloc-ok per-worker scratch, reset keeps its capacity
 
 	// Descend into the followed child: a process stays asleep only while
 	// it commutes with every step executed since it was put to sleep.
 	pickOp := ops[indexSorted(pending, pick)]
-	kept := e.cur[:0] // sleeps holds its own copy; reuse the backing array
+	kept := e.cur[:0] // the arena holds its own copy; filter in place
 	for _, u := range e.cur {
-		if e.indep(u, ops[indexSorted(pending, u)], pick, pickOp) {
-			kept = append(kept, u)
+		if IndependentOps(u, ops[indexSorted(pending, u)], pick, pickOp) {
+			kept = append(kept, u) //gsb:alloc-ok filters e.cur in place, never grows
 		}
 	}
 	e.cur = kept
@@ -155,19 +181,26 @@ func (e *porPolicy) decide(pending []int, ops []string, _ int) Decision {
 // via alt sleeps on everything already asleep at the node plus every
 // allowed transition ordered before alt (they are explored in their own
 // subtrees first), filtered down to the transitions that commute with
-// alt — the ones whose pending step survives alt unchanged.
+// alt — the ones whose pending step survives alt unchanged. Each child's
+// choices and sleep set share one allocation; the returned slice is the
+// policy's scratch, valid until the next reset.
 func (e *porPolicy) branchItems() []frontierItem {
-	var out []frontierItem
-	for j := range e.pendings {
+	out := e.items[:0]
+	pStart, sStart := 0, 0
+	for j, pEnd := range e.pendEnd {
+		sEnd := e.sleepEnd[j]
+		pending, ops, sleep := e.pend[pStart:pEnd], e.ops[pStart:pEnd], e.sleep[sStart:sEnd]
+		pStart, sStart = pEnd, sEnd
 		i := len(e.prefix) + j
-		pending, ops, sleep := e.pendings[j], e.opss[j], e.sleeps[j]
 		chosen := e.choices[i]
 		for ai, alt := range pending {
 			if alt <= chosen || containsSorted(sleep, alt) {
 				continue
 			}
 			altOp := ops[ai]
-			var childSleep []int
+			// The child's sleep set is collected in e.cur (free once the
+			// run is over) and copied behind the child's choices.
+			childSleep := e.cur[:0]
 			for ui, u := range pending {
 				if u == alt {
 					continue
@@ -175,16 +208,23 @@ func (e *porPolicy) branchItems() []frontierItem {
 				if u > alt && !containsSorted(sleep, u) {
 					continue // explored after alt, not yet covered
 				}
-				if e.indep(u, ops[ui], alt, altOp) {
+				if IndependentOps(u, ops[ui], alt, altOp) {
 					childSleep = append(childSleep, u)
 				}
 			}
-			branch := make([]int, i+1)
-			copy(branch, e.choices[:i])
-			branch[i] = alt
-			out = append(out, frontierItem{choices: branch, sleep: childSleep})
+			e.cur = childSleep
+			buf := make([]int, i+1+len(childSleep))
+			copy(buf, e.choices[:i])
+			buf[i] = alt
+			copy(buf[i+1:], childSleep)
+			item := frontierItem{choices: buf[: i+1 : i+1]}
+			if len(childSleep) > 0 {
+				item.sleep = buf[i+1:]
+			}
+			out = append(out, item)
 		}
 	}
+	e.items = out
 	return out
 }
 
@@ -217,17 +257,6 @@ func intersectSorted(a, b []int) []int {
 	out := a[:0]
 	for _, v := range a {
 		if containsSorted(b, v) {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// subtractSorted returns the elements of sorted a not in sorted b.
-func subtractSorted(a, b []int) []int {
-	out := make([]int, 0, len(a))
-	for _, v := range a {
-		if !containsSorted(b, v) {
 			out = append(out, v)
 		}
 	}

@@ -22,7 +22,13 @@
 // The hot path is also allocation-free in steady state: every per-run and
 // per-step structure (the pending-request table, the scratch buffers
 // handed to the policy, the Result and its Schedule backing array) is
-// allocated once in NewRunner and reused across runs. Exploration engines
+// allocated once in NewRunner and reused across runs. A step is a typed
+// Op (op.go) that its object built once, at construction: requesting it
+// hands the scheduler a pointer, and the granted process applies the
+// operation itself as soon as it is resumed — before any other process
+// can run, so at the step's linearization point — with its arguments and
+// results on its own stack. No closure, no boxed result, no label string
+// is made per step. Exploration engines
 // re-execute millions of short runs, so a Runner can be re-armed with
 // Reset and — with WithReuse — keep its process coroutines parked between
 // runs instead of recreating them.
@@ -41,10 +47,12 @@ import (
 // stepReq is what a process coroutine hands the scheduler when it
 // suspends: the operation it wants to execute, or — with parked set — the
 // notification that its body has finished and the coroutine is parked
-// waiting for the next run.
+// waiting for the next run. fn is set only for steps the runner applies
+// itself (Proc.Exec closures and the decide step); every mem operation is
+// applied by the granted process.
 type stepReq struct {
-	name   string
-	op     func() any
+	op     *Op
+	fn     func() any
 	parked bool
 }
 
@@ -65,14 +73,18 @@ type Proc struct {
 	stop  func()
 
 	body     Body // the current run's body, delivered while parked
-	replyVal any  // the granted op's result, set before resuming
-	crashed  bool // crash-denial flag, consumed by Exec on resume
+	replyVal any  // an Exec closure's result, set before resuming
+	crashed  bool // crash-denial flag, consumed by request on resume
 	dead     bool // the adversary crashed the process: a crash is final
 
-	// decideVal/decideOp make Decide allocation-free: the op closure is
+	// execOp is the Op of the pending Exec step: its label, parsed lazily
+	// (KindUnparsed) when a policy asks for typed ops.
+	execOp Op
+
+	// decideVal/decideFn make Decide allocation-free: the closure is
 	// bound once per runner instead of once per call.
 	decideVal int
-	decideOp  func() any
+	decideFn  func() any
 }
 
 // Index returns the process's register index (0-based, addressing only).
@@ -95,16 +107,27 @@ func (p *Proc) Model() MemModel { return p.r.model }
 // runner's wrapper; any other panic value is re-raised.
 var errCrashed = errors.New("sched: process crashed")
 
-// Exec performs one atomic step: op runs with exclusive access to all
-// shared state and is assigned the next position in the linearization
-// order. The name labels the step in the recorded schedule.
+// Step requests one atomic step performing op and returns when the
+// scheduler grants it. The caller applies the operation's effect right
+// after Step returns, before it requests another step: nothing else runs
+// between the grant and the process's next request, so the effect lands
+// exactly at the step's linearization point, with exclusive access to
+// all shared state. op must stay valid (and unchanged) while the step is
+// pending; package mem passes Ops from interned ObjectOps tables.
 //
-// If the scheduler crashes the process instead of granting the step, Exec
+// If the scheduler crashes the process instead of granting the step, Step
 // never returns (the coroutine unwinds).
 //
 //gsb:hotpath
-func (p *Proc) Exec(name string, op func() any) any {
-	if !p.yield(stepReq{name: name, op: op}) {
+func (p *Proc) Step(op *Op) {
+	p.request(stepReq{op: op})
+}
+
+// request hands req to the scheduler and returns once it is granted.
+//
+//gsb:hotpath
+func (p *Proc) request(req stepReq) {
+	if !p.yield(req) {
 		// The runner was closed mid-run; unwind like a crash.
 		panic(errCrashed)
 	}
@@ -112,18 +135,36 @@ func (p *Proc) Exec(name string, op func() any) any {
 		p.crashed = false
 		panic(errCrashed)
 	}
+}
+
+// Exec performs one atomic step running the closure op: the untyped,
+// compatibility form of Step. The runner calls op at the linearization
+// point, with exclusive access to all shared state, and Exec returns its
+// result. The name labels the step in the recorded schedule; it is mapped
+// onto the typed relation with ParseOp only when a policy asks for the
+// pending ops, so "<object>.<kind>" names commute exactly like the same
+// operation issued by a mem object.
+//
+// If the scheduler crashes the process instead of granting the step, Exec
+// never returns (the coroutine unwinds).
+//
+//gsb:hotpath
+func (p *Proc) Exec(name string, op func() any) any {
+	p.execOp = Op{Label: name}
+	p.request(stepReq{op: &p.execOp, fn: op})
 	val := p.replyVal
 	p.replyVal = nil
 	return val
 }
 
 // Decide records v as the process's output (the write to the write-once
-// output_i register of the paper) as one atomic step.
+// output_i register of the paper) as one atomic step. The runner applies
+// it, so deciding twice panics on the scheduler side and aborts the run.
 //
 //gsb:hotpath
 func (p *Proc) Decide(v int) {
 	p.decideVal = v
-	p.Exec("decide", p.decideOp)
+	p.request(stepReq{op: &decideOp, fn: p.decideFn})
 }
 
 // run is the process coroutine: parked between runs, one body per run.
@@ -253,7 +294,7 @@ type Runner struct {
 	// treat the pending and ops slices as valid only for the duration of
 	// the call (every policy in this repository copies what it keeps).
 	pendingIdx []int
-	opsBuf     []string
+	opsBuf     []Op
 
 	// Live loop state (fields so the panic-unwind path can see them).
 	exited       int // processes whose body finished, crashed or panicked
@@ -328,12 +369,12 @@ func NewRunner(n int, ids []int, policy Policy, opts ...Option) *Runner {
 		pendingReq: make([]stepReq, n),
 		pendingOn:  make([]bool, n),
 		pendingIdx: make([]int, 0, n),
-		opsBuf:     make([]string, 0, n),
+		opsBuf:     make([]Op, 0, n),
 		granting:   -1,
 	}
 	for i := 0; i < n; i++ {
 		p := &Proc{r: r, index: i, id: r.ids[i]}
-		p.decideOp = func() any {
+		p.decideFn = func() any {
 			if r.result.Decided[p.index] {
 				panic(fmt.Sprintf("sched: process %d decided twice", p.index))
 			}
@@ -568,7 +609,7 @@ func (r *Runner) schedule() (budgetErr error) {
 		}
 
 		req := r.pendingReq[dec.Proc]
-		r.pendingReq[dec.Proc] = stepReq{} // drop the op/name references
+		r.pendingReq[dec.Proc] = stepReq{} // drop the op/closure references
 		r.pendingOn[dec.Proc] = false
 		if dec.Crash {
 			if r.crashedCount+1 == r.n && budgetErr == nil {
@@ -583,14 +624,17 @@ func (r *Runner) schedule() (budgetErr error) {
 			continue
 		}
 
-		r.granting = dec.Proc
-		val := req.op() // exclusive: the linearization point of the step
-		r.granting = -1
+		p := r.procs[dec.Proc]
+		if req.fn != nil {
+			r.granting = dec.Proc
+			p.replyVal = req.fn() // exclusive: the linearization point of the step
+			r.granting = -1
+		}
 		r.result.Steps++
 		r.result.procSteps[dec.Proc]++
-		r.result.Schedule = append(r.result.Schedule, Step{Proc: dec.Proc, Op: req.name}) //gsb:alloc-ok reused Result.Schedule scratch, steady-state capacity after the first run
-		p := r.procs[dec.Proc]
-		p.replyVal = val
+		r.result.Schedule = append(r.result.Schedule, Step{Proc: dec.Proc, Op: req.op.Label}) //gsb:alloc-ok reused Result.Schedule scratch, steady-state capacity after the first run
+		// Resuming the process grants the step; a typed op is applied by
+		// the process itself before it can yield again.
 		r.pull(p)
 	}
 	return budgetErr
@@ -615,15 +659,21 @@ func (r *Runner) unwind() {
 }
 
 // nextDecision consults the policy for the next scheduling decision,
-// passing the pending operations' labels when the policy asks for them
+// passing the pending typed operations when the policy asks for them
 // (OpAwarePolicy). The slices are the runner's reusable scratch buffers.
+// An Exec step's label is parsed here, at each decision it is pending
+// for, and only for such policies.
 //
 //gsb:hotpath
 func (r *Runner) nextDecision(pendingIdx []int) Decision {
 	if oap, ok := r.policy.(OpAwarePolicy); ok {
 		ops := r.opsBuf[:0]
 		for _, i := range pendingIdx {
-			ops = append(ops, r.pendingReq[i].name) //gsb:alloc-ok appends into r.opsBuf[:0], pre-grown to n at NewRunner
+			op := *r.pendingReq[i].op
+			if op.Kind == KindUnparsed {
+				op = ParseOp(op.Label)
+			}
+			ops = append(ops, op) //gsb:alloc-ok appends into r.opsBuf[:0], pre-grown to n at NewRunner
 		}
 		r.opsBuf = ops
 		return oap.NextOps(pendingIdx, ops, r.result.Steps)

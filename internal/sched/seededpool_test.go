@@ -173,7 +173,7 @@ func TestRunnerScheduleDivergedError(t *testing.T) {
 		t.Fatalf("err = %v, want ErrScheduleDiverged", err)
 	}
 	// The POR replay policy takes the same path.
-	por := &porPolicy{indep: OpIndependent, prefix: []int{0, 0, 0}}
+	por := &porPolicy{prefix: []int{0, 0, 0}}
 	_, err = NewRunner(2, DefaultIDs(2), por).Run(body)
 	if !errors.Is(err, ErrScheduleDiverged) {
 		t.Fatalf("por: err = %v, want ErrScheduleDiverged", err)

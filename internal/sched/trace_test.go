@@ -2,7 +2,10 @@ package sched
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"sort"
 	"strings"
 	"sync"
@@ -74,12 +77,9 @@ func TestTimelineFromRealRun(t *testing.T) {
 	}
 }
 
-// foataString is a test-local, independent rendering of a schedule's
-// Foata normal form: steps are placed level by level exactly as
-// CanonicalTraceHash does, but the result is the readable level structure
-// instead of an FNV digest. Distinct strings are distinct trace classes
-// by construction, which makes the hash checkable for collisions.
-func foataString(schedule []Step, indep Independence) string {
+// foataLevels is the reference Foata normal form: per-level slices,
+// filled in schedule order and sorted by process.
+func foataLevels(schedule []Step, indep Independence) [][]Step {
 	var levels [][]Step
 	for _, s := range schedule {
 		d := 0
@@ -94,9 +94,70 @@ func foataString(schedule []Step, indep Independence) string {
 		}
 		levels[d] = append(levels[d], s)
 	}
-	var b strings.Builder
 	for _, level := range levels {
 		sort.Slice(level, func(i, j int) bool { return level[i].Proc < level[j].Proc })
+	}
+	return levels
+}
+
+func levelDepends(level []Step, s Step, indep Independence) bool {
+	for _, u := range level {
+		if dependentStep(u, s, indep) {
+			return true
+		}
+	}
+	return false
+}
+
+// referenceTraceHash is the reference digest of the Foata normal form:
+// hash/fnv's FNV-1a over each level's steps (process as 4 little-endian
+// bytes, label, a 0 byte), each level closed by 0xff.
+func referenceTraceHash(schedule []Step, indep Independence) uint64 {
+	h := fnv.New64a()
+	var buf [4]byte
+	for _, level := range foataLevels(schedule, indep) {
+		for _, s := range level {
+			binary.LittleEndian.PutUint32(buf[:], uint32(s.Proc))
+			h.Write(buf[:])
+			h.Write([]byte(s.Op))
+			h.Write([]byte{0})
+		}
+		h.Write([]byte{0xff})
+	}
+	return h.Sum64()
+}
+
+// TestCanonicalTraceHashMatchesReference: the scratch-space hash equals
+// the reference digest on random schedules of short and long runs (the
+// latter past the stack scratch), with labels from every footprint class,
+// crash steps included.
+func TestCanonicalTraceHashMatchesReference(t *testing.T) {
+	labels := []string{"A.read", "A.write", "A.snapshot", "B.read", "B.write-start", "B.write-commit", "KS.invoke", "decide", "noop", ""}
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 5, 40, 96, 97, 300} {
+		for range 50 {
+			schedule := make([]Step, n)
+			for i := range schedule {
+				schedule[i] = Step{Proc: rng.Intn(4), Op: labels[rng.Intn(len(labels))]}
+				if schedule[i].Op == "" {
+					schedule[i].Crash = true
+				}
+			}
+			if got, want := CanonicalTraceHash(schedule, OpIndependent), referenceTraceHash(schedule, OpIndependent); got != want {
+				t.Fatalf("n=%d: hash %x, reference %x for %v", n, got, want, schedule)
+			}
+		}
+	}
+}
+
+// foataString is a test-local, independent rendering of a schedule's
+// Foata normal form: steps are placed level by level exactly as
+// CanonicalTraceHash does, but the result is the readable level structure
+// instead of an FNV digest. Distinct strings are distinct trace classes
+// by construction, which makes the hash checkable for collisions.
+func foataString(schedule []Step, indep Independence) string {
+	var b strings.Builder
+	for _, level := range foataLevels(schedule, indep) {
 		b.WriteByte('[')
 		for _, s := range level {
 			fmt.Fprintf(&b, "%d:%s ", s.Proc, s.Op)

@@ -49,12 +49,16 @@ func verifyResult(spec gsb.Spec, res *sched.Result) error {
 		crashed = crashed || c
 	}
 	if !crashed {
-		out, derr := res.DecidedVector()
-		if derr != nil {
-			return fmt.Errorf("tasks: %w", derr)
+		// Every process decided iff DecidedVector succeeds; check the
+		// flags first so a legal run verifies its outputs in place.
+		for _, d := range res.Decided {
+			if !d {
+				_, derr := res.DecidedVector()
+				return fmt.Errorf("tasks: %w", derr)
+			}
 		}
-		if verr := spec.Verify(out); verr != nil {
-			return fmt.Errorf("tasks: output %v violates %v: %w", out, spec, verr)
+		if verr := spec.Verify(res.Outputs); verr != nil {
+			return fmt.Errorf("tasks: output %v violates %v: %w", res.Outputs, spec, verr)
 		}
 		return nil
 	}

@@ -41,22 +41,19 @@ func (f *FetchIncRenaming) Solve(p *sched.Proc, _ int) int {
 // there are at most n-1 other processes, so everyone wins some object in
 // [1..n].
 type TASRenaming struct {
-	row []*mem.TAS
+	row []mem.TAS
 }
 
-// NewTASRenaming allocates the row of n test-and-set objects.
+// NewTASRenaming allocates the row of n test-and-set objects, named
+// name[1] .. name[n].
 func NewTASRenaming(name string, n int) *TASRenaming {
-	row := make([]*mem.TAS, n)
-	for k := range row {
-		row[k] = mem.NewTAS(fmt.Sprintf("%s[%d]", name, k+1))
-	}
-	return &TASRenaming{row: row}
+	return &TASRenaming{row: mem.NewTASRow(name, n)}
 }
 
 // Solve implements Solver.
 func (t *TASRenaming) Solve(p *sched.Proc, _ int) int {
-	for k, tas := range t.row {
-		if tas.TestAndSet(p) {
+	for k := range t.row {
+		if t.row[k].TestAndSet(p) {
 			return k + 1
 		}
 	}

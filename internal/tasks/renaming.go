@@ -2,7 +2,6 @@ package tasks
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/mem"
 	"repro/internal/sched"
@@ -55,30 +54,18 @@ func (r *SnapshotRenaming) Solve(p *sched.Proc, id int) int {
 			return prop
 		}
 
-		// Rank of my identity among all participants seen (1-based).
-		var ids []int
-		taken := map[int]bool{}
+		// Rank of my identity among all participants seen (1-based; my
+		// own cell is among them, and identities are distinct).
+		rank := 1
 		for j := range cells {
-			if !oks[j] {
-				continue
-			}
-			ids = append(ids, cells[j].id)
-			if j != p.Index() && cells[j].prop > 0 {
-				taken[cells[j].prop] = true
-			}
-		}
-		sort.Ints(ids)
-		rank := 0
-		for k, v := range ids {
-			if v == id {
-				rank = k + 1
-				break
+			if oks[j] && cells[j].id < id {
+				rank++
 			}
 		}
 		// r-th smallest positive integer not proposed by anyone else.
 		free := 0
 		for name := 1; ; name++ {
-			if !taken[name] {
+			if !proposedByOther(cells, oks, p.Index(), name) {
 				free++
 				if free == rank {
 					prop = name
@@ -87,6 +74,17 @@ func (r *SnapshotRenaming) Solve(p *sched.Proc, id int) int {
 			}
 		}
 	}
+}
+
+// proposedByOther reports whether a participant other than me currently
+// proposes name.
+func proposedByOther(cells []renameCell, oks []bool, me, name int) bool {
+	for j := range cells {
+		if j != me && oks[j] && cells[j].prop == name {
+			return true
+		}
+	}
+	return false
 }
 
 // Direction is a splitter outcome.
@@ -123,7 +121,7 @@ type Splitter struct {
 
 // NewSplitter allocates a splitter.
 func NewSplitter(name string) *Splitter {
-	return &Splitter{x: mem.NewReg[int](name + ".x"), y: mem.NewReg[bool](name + ".y")}
+	return &Splitter{x: mem.NewReg[int](mem.JoinName(name, ".x")), y: mem.NewReg[bool](mem.JoinName(name, ".y"))}
 }
 
 // Split runs the splitter for the calling process, identified by id

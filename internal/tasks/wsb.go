@@ -70,8 +70,8 @@ func NewRenamingFromWSB(name string, n int, wsb *mem.TaskBox) *RenamingFromWSB {
 	return &RenamingFromWSB{
 		n:      n,
 		wsb:    wsb,
-		bottom: NewSnapshotRenaming(name+".bottom", n),
-		top:    NewSnapshotRenaming(name+".top", n),
+		bottom: NewSnapshotRenaming(mem.JoinName(name, ".bottom"), n),
+		top:    NewSnapshotRenaming(mem.JoinName(name, ".top"), n),
 	}
 }
 
