@@ -32,16 +32,20 @@ race:
 # the machine-readable exploration report (schedule counts, runs/sec,
 # partial-order-reduction factors) tracked across PRs. This regenerates
 # the committed baseline BENCH_sched.json and the per-entry pprof CPU
-# profiles under profiles/ (docs/metrics.md).
+# profiles under profiles/ (docs/metrics.md). gsbbench runs at one CPU,
+# like the committed baseline (its "gomaxprocs": 1), so a multi-core host
+# or CI runner measures the same single-worker entries.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
-	$(GO) run ./cmd/gsbbench -out BENCH_sched.json -profiles profiles
+	GOMAXPROCS=1 $(GO) run ./cmd/gsbbench -out BENCH_sched.json -profiles profiles
 
 # Benchmark regression gate: measure into BENCH_ci.json and fail on
 # throughput drops (>25%), allocs-per-run growth, or schedule/class count
-# drift against the committed BENCH_sched.json baseline. CI's bench-smoke
-# job runs this; regenerate the baseline with `make bench` when a change
-# legitimately moves the numbers. Baseline policy: the schedule/class and
+# drift against the committed BENCH_sched.json baseline, at the
+# baseline's GOMAXPROCS=1 (gsbbench -compare refuses a baseline measured
+# at another GOMAXPROCS). CI's bench-smoke job runs this;
+# regenerate the baseline with `make bench` when a change legitimately
+# moves the numbers. Baseline policy: the schedule/class and
 # allocs columns are machine-independent and gate hard; runs/sec is
 # environmental, so regenerate the baseline on a machine no faster than
 # the CI runners (a slower box only loosens the throughput gate, never
@@ -51,7 +55,7 @@ bench:
 # profile that explains it).
 bench-compare:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
-	$(GO) run ./cmd/gsbbench -out BENCH_ci.json -compare BENCH_sched.json -profiles profiles-ci
+	GOMAXPROCS=1 $(GO) run ./cmd/gsbbench -out BENCH_ci.json -compare BENCH_sched.json -profiles profiles-ci
 
 lint:
 	$(GO) vet ./...

@@ -21,9 +21,10 @@
 // (slot-renaming n=4, the <7,3> oracle-box instance).
 //
 // -compare turns the run into a regression gate against a baseline
-// report (the committed BENCH_sched.json): after measuring, each entry
-// is matched to the baseline entry with the same name/mode/reduction and
-// the run fails if throughput dropped more than -max-drop (default 25%),
+// report (the committed BENCH_sched.json). A baseline measured under
+// another GOMAXPROCS is refused up front, never compared. After
+// measuring, each entry is matched to the baseline entry with the same
+// name/mode/reduction/budget and worker count, and the run fails if throughput dropped more than -max-drop (default 25%),
 // if allocs-per-run grew beyond -max-allocs-growth, or if a
 // deterministic column (schedule or class count) changed at all —
 // determinism drift is a correctness regression, not noise. Baseline
@@ -113,6 +114,9 @@ type Entry struct {
 	Profile string `json:"profile,omitempty"`
 	Error   string `json:"error,omitempty"`
 }
+
+// reportSchema names the report format this build writes.
+const reportSchema = "gsb-bench/v1"
 
 // Report is the top-level BENCH_sched.json document.
 type Report struct {
@@ -480,12 +484,28 @@ func profiled(dir, slug string, measure func() Entry) Entry {
 	return e
 }
 
-// entryKey identifies an entry across reports: the measurement's name
-// and configuration, excluding machine-dependent fields (worker count
-// follows GOMAXPROCS, so it is part of the environment, not the
-// measurement identity).
+// entryKey identifies an entry across reports: the measurement's name,
+// configuration and worker count. GOMAXPROCS is a property of the whole
+// report; -compare refuses a baseline measured under another one
+// (checkBaseline), so matched entries always compare like for like.
 func entryKey(e Entry) string {
-	return fmt.Sprintf("%s|%s|%s|%d", e.Name, e.Mode, e.Reduction, e.Budget)
+	return fmt.Sprintf("%s|%s|%s|%d|w%d", e.Name, e.Mode, e.Reduction, e.Budget, e.Workers)
+}
+
+// checkBaseline refuses a baseline the current run cannot be compared
+// with like for like: another report schema, or another GOMAXPROCS. The
+// worker count follows GOMAXPROCS, and so does the runtime's contention
+// on small trees, so such a comparison would gate on the host's core
+// count rather than on the code.
+func checkBaseline(path string, base Report, gomaxprocs int) error {
+	if base.Schema != reportSchema {
+		return fmt.Errorf("baseline %s has schema %q, this build writes %q (regenerate the baseline)", path, base.Schema, reportSchema)
+	}
+	if base.GOMAXPROCS != gomaxprocs {
+		return fmt.Errorf("baseline %s was measured at gomaxprocs %d, this run has gomaxprocs %d: refusing to compare (rerun with GOMAXPROCS=%d, or regenerate the baseline; make bench and make bench-compare both run at GOMAXPROCS=1)",
+			path, base.GOMAXPROCS, gomaxprocs, base.GOMAXPROCS)
+	}
+	return nil
 }
 
 // compareReports gates the current report against a baseline: returns
@@ -602,6 +622,25 @@ func main() {
 		return
 	}
 
+	// A baseline that cannot be compared like for like is refused before
+	// anything is measured.
+	var base Report
+	if *compare != "" {
+		bf, err := os.ReadFile(*compare)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "gsbbench: baseline: %v\n", err)
+			os.Exit(1)
+		}
+		if err := json.Unmarshal(bf, &base); err != nil {
+			fmt.Fprintf(os.Stderr, "gsbbench: baseline %s: %v\n", *compare, err)
+			os.Exit(1)
+		}
+		if err := checkBaseline(*compare, base, runtime.GOMAXPROCS(0)); err != nil {
+			fmt.Fprintf(os.Stderr, "gsbbench: %v\n", err)
+			os.Exit(1)
+		}
+	}
+
 	if *profiles != "" {
 		if err := os.MkdirAll(*profiles, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "gsbbench: -profiles: %v\n", err)
@@ -613,7 +652,7 @@ func main() {
 		w = runtime.GOMAXPROCS(0)
 	}
 	rep := Report{
-		Schema:     "gsb-bench/v1",
+		Schema:     reportSchema,
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Full:       *full,
@@ -697,20 +736,6 @@ func main() {
 	fmt.Printf("wrote %s (%d entries)\n", *out, len(rep.Entries))
 
 	if *compare != "" {
-		bf, err := os.ReadFile(*compare)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gsbbench: baseline: %v\n", err)
-			os.Exit(1)
-		}
-		var base Report
-		if err := json.Unmarshal(bf, &base); err != nil {
-			fmt.Fprintf(os.Stderr, "gsbbench: baseline %s: %v\n", *compare, err)
-			os.Exit(1)
-		}
-		if base.Schema != rep.Schema {
-			fmt.Fprintf(os.Stderr, "gsbbench: baseline %s has schema %q, this build writes %q (regenerate the baseline)\n", *compare, base.Schema, rep.Schema)
-			os.Exit(1)
-		}
 		failures, notes, regressed := compareReports(rep, base, *maxDrop, *maxAllocsGrowth)
 		for _, n := range notes {
 			fmt.Printf("  note: %s\n", n)

@@ -43,6 +43,10 @@ func TestCompareReports(t *testing.T) {
 			r.Entries = append(r.Entries, entry("new-case", "", "none", 10, 0, 1, 1))
 		}, "", "no baseline"},
 		{"gauge-excluded", func(r *Report) { r.Entries[2].RunsPerSec = 1 }, "", ""},
+		{"workers-mismatch-never-compared", func(r *Report) {
+			r.Entries[0].Workers = 2
+			r.Entries[0].RunsPerSec = 1
+		}, "coverage hole", "no baseline"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -96,7 +100,7 @@ func TestExplainRegressions(t *testing.T) {
 	explainRegressions(&buf, [][2]Entry{{b, c}}, "../../internal/profdiff/testdata", "../../internal/profdiff/testdata", 10)
 	out := buf.String()
 	for _, want := range []string{
-		"box-6-3||sleep-sets|0: top-10 flat-time shifts",
+		"box-6-3||sleep-sets|0|w0: top-10 flat-time shifts",
 		"repro/internal/sched.(*runner).hotStep",
 		"+30.00%",
 	} {
@@ -117,5 +121,24 @@ func TestExplainRegressions(t *testing.T) {
 	explainRegressions(&buf, [][2]Entry{{b, c}}, "../../internal/profdiff/testdata", "../../internal/profdiff/testdata", 10)
 	if !strings.Contains(buf.String(), "cannot explain") {
 		t.Errorf("unreadable-profile note absent:\n%s", buf.String())
+	}
+}
+
+// TestCheckBaseline: a baseline measured under another GOMAXPROCS (or
+// written in another schema) is refused with an error naming both
+// values, so the gate never compares unlike runs.
+func TestCheckBaseline(t *testing.T) {
+	base := Report{Schema: reportSchema, GOMAXPROCS: 1}
+	if err := checkBaseline("BENCH_sched.json", base, 1); err != nil {
+		t.Fatalf("matching baseline refused: %v", err)
+	}
+	base.GOMAXPROCS = 2
+	err := checkBaseline("BENCH_sched.json", base, 1)
+	if err == nil || !strings.Contains(err.Error(), "gomaxprocs 2") || !strings.Contains(err.Error(), "gomaxprocs 1") {
+		t.Fatalf("gomaxprocs mismatch: err = %v, want a refusal naming both values", err)
+	}
+	base = Report{Schema: "gsb-bench/v0", GOMAXPROCS: 1}
+	if err := checkBaseline("BENCH_sched.json", base, 1); err == nil || !strings.Contains(err.Error(), "schema") {
+		t.Fatalf("schema mismatch: err = %v, want a refusal", err)
 	}
 }

@@ -34,7 +34,8 @@ import (
 // so stack-proven allocations still need an //gsb:alloc-ok with the
 // argument (the benchmark gate keeps the annotation honest). Marking is
 // manual; a function reachable from a marked one is not automatically
-// checked, so mark the whole call chain (Exec → pull → nextDecision).
+// checked, so mark the whole call chain (Step → request → grantInPlace →
+// nextDecision).
 var HotPathAnalyzer = &Analyzer{
 	Name:       "hotpath",
 	Doc:        "flags allocating expressions inside //gsb:hotpath-marked functions",

@@ -17,30 +17,31 @@ import (
 // over the same worker pool.
 //
 // The exhaustive engine itself lives in explore_parallel.go; this file
-// keeps the prefix-replay policy and the single-goroutine reference
-// implementation that the parallel engine is differentially tested
-// against.
+// keeps the prefix-replay policy (the runner replays its prefix) and the
+// single-goroutine reference implementation that the parallel engine is
+// differentially tested against.
 
 // ErrExplorationBudget is returned when the schedule tree exceeds the
 // caller's run budget.
 var ErrExplorationBudget = errors.New("sched: exploration budget exhausted")
 
-// ErrScheduleDiverged is returned (wrapped) by Runner.Run when a
-// prefix-replay policy finds that the scripted process has no pending
-// step: the protocol behaved differently than it did when the prefix was
-// recorded, i.e. it is not a deterministic function of the schedule.
+// ErrScheduleDiverged is returned (wrapped) by Runner.Run when the
+// runner's replay of a prefix-replay policy's prefix finds that the
+// scripted process has no pending step: the protocol behaved differently
+// than it did when the prefix was recorded, i.e. it is not a
+// deterministic function of the schedule.
 // Exploration and sampling surface it as a per-run failure instead of a
 // panic, so one non-deterministic protocol cannot kill a worker pool.
 var ErrScheduleDiverged = errors.New("sched: schedule replay diverged (non-deterministic protocol?)")
 
-// explorePolicy replays a fixed prefix of choices, then always picks the
-// smallest pending process, recording the pending set of every decision
-// past the prefix (the only ones that branch). Like porPolicy it is
-// per-worker scratch: reset re-arms it and its flat arena keeps its
-// capacity across runs.
+// explorePolicy opens each run with a fixed prefix of choices, which the
+// runner replays (replayPolicy), then always picks the smallest pending
+// process, recording the pending set of every decision past the prefix
+// (the only ones that branch). Like porPolicy it is per-worker scratch:
+// reset re-arms it and its flat arena keeps its capacity across runs.
 type explorePolicy struct {
 	prefix  []int
-	choices []int // process chosen at each decision
+	choices []int // process chosen at each decision, the prefix included
 	// pend holds the pending sets of the post-prefix decisions back to
 	// back; decision len(prefix)+j's set is pend[pendEnd[j-1]:pendEnd[j]]
 	// (from 0 for j = 0).
@@ -53,22 +54,17 @@ type explorePolicy struct {
 // capacity.
 func (e *explorePolicy) reset(prefix []int) {
 	e.prefix = prefix
-	e.choices, e.pend, e.pendEnd = e.choices[:0], e.pend[:0], e.pendEnd[:0]
+	e.choices = append(e.choices[:0], prefix...)
+	e.pend, e.pendEnd = e.pend[:0], e.pendEnd[:0]
 }
 
-// Next implements Policy.
+// replayPrefix implements replayPolicy.
+func (e *explorePolicy) replayPrefix() []int { return e.prefix }
+
+// Next implements Policy. The runner calls it only past the prefix.
 //
 //gsb:hotpath
 func (e *explorePolicy) Next(pending []int, _ int) Decision {
-	step := len(e.choices)
-	if step < len(e.prefix) {
-		pick := e.prefix[step]
-		if !containsSorted(pending, pick) {
-			return Decision{Abort: true, Err: fmt.Errorf("%w: exploration prefix chose %d but pending is %v", ErrScheduleDiverged, pick, pending)}
-		}
-		e.choices = append(e.choices, pick) //gsb:alloc-ok per-worker scratch, reset keeps its capacity
-		return Decision{Proc: pick}
-	}
 	e.choices = append(e.choices, pending[0])  //gsb:alloc-ok per-worker scratch, reset keeps its capacity
 	e.pend = append(e.pend, pending...)        //gsb:alloc-ok per-worker arena, reset keeps its capacity
 	e.pendEnd = append(e.pendEnd, len(e.pend)) //gsb:alloc-ok per-worker arena, reset keeps its capacity
@@ -151,7 +147,8 @@ func ExploreSequential(n int, ids []int, maxRuns, maxSteps int, build func() Bod
 		prefix := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 
-		policy := &explorePolicy{prefix: prefix}
+		policy := &explorePolicy{}
+		policy.reset(prefix)
 		runner := NewRunner(n, ids, policy, WithMaxSteps(maxSteps))
 		res, err := runner.Run(build())
 		if err != nil {

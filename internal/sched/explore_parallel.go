@@ -290,10 +290,10 @@ type frontierItem struct {
 }
 
 // explorerPolicy is what the engine needs from a prefix-replay policy:
-// schedule the run, then report the choice sequence it took and the
-// sibling prefixes left to explore.
+// schedule the run past the prefix the runner replays, then report the
+// choice sequence it took and the sibling prefixes left to explore.
 type explorerPolicy interface {
-	Policy
+	replayPolicy
 	runChoices() []int
 	branchItems() []frontierItem
 }
@@ -591,7 +591,13 @@ func (e *explorer) process(w int, item frontierItem, ws *workerScratch) {
 		e.met.incAborts()
 	case err != nil:
 		if e.bound == nil {
-			e.recordFailure(policy.runChoices(), fmt.Errorf("sched: exploration run with prefix %v: %w", item.choices, err))
+			choices := policy.runChoices()
+			if errors.Is(err, ErrScheduleDiverged) {
+				// The run took only the prefix choices replayed before
+				// the diverging one.
+				choices = choices[:ws.runner.scriptPos]
+			}
+			e.recordFailure(choices, fmt.Errorf("sched: exploration run with prefix %v: %w", item.choices, err))
 		}
 	case e.bound != nil:
 		if lexLess(policy.runChoices(), e.bound) && e.admit(res) {

@@ -18,8 +18,8 @@ type Decision struct {
 	// elsewhere. Proc and Crash are ignored when Abort is set.
 	Abort bool
 	// Err, when non-nil with Abort set, is returned by Run in place of
-	// ErrRunAborted: the policy is reporting a structured failure, not a
-	// routine prune. The prefix-replay policies use it to surface a
+	// ErrRunAborted: the decision reports a structured failure, not a
+	// routine prune. The runner's prefix replay uses it to surface a
 	// diverging replay (ErrScheduleDiverged — a non-deterministic
 	// protocol) as a clean per-run error instead of a panic that would
 	// kill an exploration worker. Ignored when Abort is false.

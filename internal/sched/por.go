@@ -67,8 +67,9 @@ func (r Reduction) valid() bool {
 // runs as pruned probes: they consume run budget but are not schedules.
 var ErrRunAborted = errors.New("sched: run aborted by the scheduling policy")
 
-// porPolicy is the sleep-set variant of explorePolicy: it replays a fixed
-// prefix of choices, then descends picking the smallest pending process
+// porPolicy is the sleep-set variant of explorePolicy: its runs open
+// with a fixed prefix of choices, which the runner replays
+// (replayPolicy), then it descends picking the smallest pending process
 // that is not asleep, maintaining the sleep set across decisions and
 // recording everything branch generation needs. It implements
 // OpAwarePolicy to learn the typed op of every pending step; without ops
@@ -80,9 +81,8 @@ var ErrRunAborted = errors.New("sched: run aborted by the scheduling policy")
 // runs, so a decision allocates nothing in steady state.
 type porPolicy struct {
 	prefix []int
-	sleep0 []int // sleep set at the node reached after prefix
 
-	choices []int
+	choices []int // process chosen at each decision, the prefix included
 	// Recorded per post-prefix decision j, aligned with
 	// choices[len(prefix):]: the pending set (sorted) with its ops, and
 	// the sleep set (sorted) at the node. Decision j's pending set is
@@ -93,22 +93,23 @@ type porPolicy struct {
 	sleep    []int
 	sleepEnd []int
 
-	cur     []int // current sleep set during the descent
-	noOps   []Op  // zero ops (unknown footprint) for the plain Next path
-	items   []frontierItem
-	started bool
+	cur   []int // current sleep set during the descent
+	noOps []Op  // zero ops (unknown footprint) for the plain Next path
+	items []frontierItem
 }
 
 // reset re-arms the policy to replay prefix from a node whose sleep set
 // is sleep0, keeping every buffer's capacity.
 func (e *porPolicy) reset(prefix, sleep0 []int) {
-	e.prefix, e.sleep0 = prefix, sleep0
-	e.choices = e.choices[:0]
+	e.prefix = prefix
+	e.choices = append(e.choices[:0], prefix...)
 	e.pend, e.ops, e.pendEnd = e.pend[:0], e.ops[:0], e.pendEnd[:0]
 	e.sleep, e.sleepEnd = e.sleep[:0], e.sleepEnd[:0]
-	e.cur = e.cur[:0]
-	e.started = false
+	e.cur = append(e.cur[:0], sleep0...)
 }
+
+// replayPrefix implements replayPolicy.
+func (e *porPolicy) replayPrefix() []int { return e.prefix }
 
 // Next implements Policy (no ops: conservative, no reduction).
 func (e *porPolicy) Next(pending []int, stepNo int) Decision {
@@ -123,21 +124,10 @@ func (e *porPolicy) NextOps(pending []int, ops []Op, stepNo int) Decision {
 	return e.decide(pending, ops, stepNo)
 }
 
+// decide takes a post-prefix decision (the runner replays the prefix).
+//
 //gsb:hotpath
 func (e *porPolicy) decide(pending []int, ops []Op, _ int) Decision {
-	step := len(e.choices)
-	if step < len(e.prefix) {
-		pick := e.prefix[step]
-		if !containsSorted(pending, pick) {
-			return Decision{Abort: true, Err: fmt.Errorf("%w: exploration prefix chose %d but pending is %v", ErrScheduleDiverged, pick, pending)}
-		}
-		e.choices = append(e.choices, pick) //gsb:alloc-ok per-worker scratch, reset keeps its capacity
-		return Decision{Proc: pick}
-	}
-	if !e.started {
-		e.started = true
-		e.cur = append(e.cur[:0], e.sleep0...) //gsb:alloc-ok per-worker scratch, reset keeps its capacity
-	}
 	// A sleeping process is blocked on its pending request, so it cannot
 	// leave the pending set; the intersection guards the invariant
 	// cur ⊆ pending rather than doing real work.

@@ -30,17 +30,19 @@ func waitGoroutines(t *testing.T, want int) {
 }
 
 // TestSchedulerOpPanicUnwindsProcesses is the regression test for the
-// scheduler-side panic leak: a panic inside an op (here the double-Decide
-// guard) used to unwind Run and leave every process goroutine parked
-// forever. Run must now crash-unwind the suspended processes, then
-// re-raise the original value wrapped with the process index.
+// scheduler-side panic leak: a panic inside an op the runner applies
+// itself (here a Proc.Exec closure) used to unwind Run and leave every
+// process goroutine parked forever. Run must now crash-unwind the
+// suspended processes, then re-raise the original value wrapped with the
+// process index. (Decide is a typed step its process applies, so a
+// double decide panics on the process side instead: TestDecideTwicePanics.)
 func TestSchedulerOpPanicUnwindsProcesses(t *testing.T) {
 	before := runtime.NumGoroutine()
 	func() {
 		defer func() {
 			rec := recover()
 			if rec == nil {
-				t.Fatal("expected panic on double decide")
+				t.Fatal("expected panic from the Exec closure")
 			}
 			pps, ok := rec.(ProcessPanics)
 			if !ok {
@@ -49,17 +51,23 @@ func TestSchedulerOpPanicUnwindsProcesses(t *testing.T) {
 			if len(pps) != 1 {
 				t.Fatalf("got %d process panics, want 1: %v", len(pps), pps)
 			}
+			if pps[0].Proc != 1 {
+				t.Errorf("panic attributed to process %d, want 1", pps[0].Proc)
+			}
 			// The original panic value must be preserved verbatim, not
 			// flattened through fmt.Sprintf.
 			s, ok := pps[0].Value.(string)
-			if !ok || !strings.Contains(s, "decided twice") {
+			if !ok || !strings.Contains(s, "closure exploded") {
 				t.Fatalf("original panic value not preserved: %#v", pps[0].Value)
 			}
 		}()
 		r := NewRunner(3, DefaultIDs(3), NewRoundRobin())
 		_, _ = r.Run(func(p *Proc) {
+			p.Exec("X.write", func() any { return nil })
+			if p.Index() == 1 {
+				p.Exec("X.write", func() any { panic("closure exploded") })
+			}
 			p.Decide(1)
-			p.Decide(2)
 		})
 	}()
 	waitGoroutines(t, before)

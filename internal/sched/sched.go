@@ -11,13 +11,27 @@
 // produce the same run.
 //
 // Processes run as coroutines (iter.Pull) rather than free-running
-// goroutines: a process executes until its next Exec, hands its pending
-// request directly to the scheduler in a single stack switch, and stays
-// suspended until the scheduler grants (or crash-denies) the step. The
-// direct handoff costs no channel operations and no trips through the
-// runtime scheduler, and gives the runner a hard invariant — between
-// scheduler decisions every live process is suspended at its yield point —
-// that makes crash unwinding and panic recovery leak-free by construction.
+// goroutines, and the scheduler is not a separate thread of control: a
+// scheduling decision is taken on whichever stack is running when the
+// previous step ends. A process granted a step keeps running until its
+// next request and takes the next decision itself, on its own stack; if
+// the decision picks it again the step is granted in place, with no
+// switch at all. Only when the running process changes (or it finishes,
+// or issues an untyped Exec step) does it hand its pending request back
+// in a single stack switch, and the scheduler applies the decision it
+// already took. Either way the policy is consulted exactly once per
+// decision. The runner keeps one hard invariant — every live process
+// except the deciding one is suspended at its yield point with a pending
+// request — so the pending set a decision sees is complete, the run is
+// deterministic, and crash unwinding and panic recovery are leak-free by
+// construction. A step therefore costs a stack switch only when the
+// running process changes, and no channel operation or trip through the
+// runtime scheduler ever.
+//
+// The exploration engines re-execute a known prefix of choices before
+// every new decision; the runner replays such a prefix itself
+// (replayPolicy), checking each choice against the pending table without
+// consulting the policy.
 //
 // The hot path is also allocation-free in steady state: every per-run and
 // per-step structure (the pending-request table, the scratch buffers
@@ -25,10 +39,10 @@
 // allocated once in NewRunner and reused across runs. A step is a typed
 // Op (op.go) that its object built once, at construction: requesting it
 // hands the scheduler a pointer, and the granted process applies the
-// operation itself as soon as it is resumed — before any other process
-// can run, so at the step's linearization point — with its arguments and
-// results on its own stack. No closure, no boxed result, no label string
-// is made per step. Exploration engines
+// operation itself as soon as its request returns — before any other
+// process can run, so at the step's linearization point — with its
+// arguments and results on its own stack. No closure, no boxed result, no
+// label string is made per step. Exploration engines
 // re-execute millions of short runs, so a Runner can be re-armed with
 // Reset and — with WithReuse — keep its process coroutines parked between
 // runs instead of recreating them.
@@ -47,8 +61,8 @@ import (
 // stepReq is what a process coroutine hands the scheduler when it
 // suspends: the operation it wants to execute, or — with parked set — the
 // notification that its body has finished and the coroutine is parked
-// waiting for the next run. fn is set only for steps the runner applies
-// itself (Proc.Exec closures and the decide step); every mem operation is
+// waiting for the next run. fn is set only for Proc.Exec closures, which
+// the runner applies itself; every typed step (mem operations, Decide) is
 // applied by the granted process.
 type stepReq struct {
 	op     *Op
@@ -80,11 +94,6 @@ type Proc struct {
 	// execOp is the Op of the pending Exec step: its label, parsed lazily
 	// (KindUnparsed) when a policy asks for typed ops.
 	execOp Op
-
-	// decideVal/decideFn make Decide allocation-free: the closure is
-	// bound once per runner instead of once per call.
-	decideVal int
-	decideFn  func() any
 }
 
 // Index returns the process's register index (0-based, addressing only).
@@ -124,9 +133,15 @@ func (p *Proc) Step(op *Op) {
 }
 
 // request hands req to the scheduler and returns once it is granted.
+// A typed step of the process the scheduler last granted is decided in
+// place (grantInPlace): when the decision picks this process again the
+// step is granted without a switch.
 //
 //gsb:hotpath
 func (p *Proc) request(req stepReq) {
+	if r := p.r; r.stepper == p && req.fn == nil && r.result.Steps < r.maxSteps && r.grantInPlace(p, req.op) {
+		return
+	}
 	if !p.yield(req) {
 		// The runner was closed mid-run; unwind like a crash.
 		panic(errCrashed)
@@ -158,13 +173,19 @@ func (p *Proc) Exec(name string, op func() any) any {
 }
 
 // Decide records v as the process's output (the write to the write-once
-// output_i register of the paper) as one atomic step. The runner applies
-// it, so deciding twice panics on the scheduler side and aborts the run.
+// output_i register of the paper) as one atomic step. Like a mem
+// operation it is a typed step the process applies itself once granted,
+// so deciding twice panics in protocol code (a ProcessPanic).
 //
 //gsb:hotpath
 func (p *Proc) Decide(v int) {
-	p.decideVal = v
-	p.request(stepReq{op: &decideOp, fn: p.decideFn})
+	p.Step(&decideOp)
+	res := p.r.result
+	if res.Decided[p.index] {
+		panic(fmt.Sprintf("sched: process %d decided twice", p.index))
+	}
+	res.Decided[p.index] = true
+	res.Outputs[p.index] = v
 }
 
 // run is the process coroutine: parked between runs, one body per run.
@@ -299,7 +320,26 @@ type Runner struct {
 	// Live loop state (fields so the panic-unwind path can see them).
 	exited       int // processes whose body finished, crashed or panicked
 	crashedCount int
-	granting     int // process whose op is executing right now; -1 otherwise
+	granting     int // process whose Exec closure is executing right now; -1 otherwise
+
+	// script is the prefix of choices a replayPolicy hands the runner,
+	// replayed up to scriptPos so far in this run.
+	script    []int
+	scriptPos int
+
+	// In-place decisions (grantInPlace). stepper is the process the
+	// scheduler last resumed with a grant, nil otherwise: while it runs,
+	// its typed requests take the next decision on its own stack. A
+	// decision it cannot apply itself is held for the scheduler, and a
+	// policy panic raised by one is held for the scheduler to re-raise.
+	stepper     *Proc
+	held        Decision
+	hasHeld     bool
+	policyPanic any
+
+	// resumes counts coroutine resumptions this run (each is two stack
+	// switches: into the process and back).
+	resumes int
 
 	live   bool // the process coroutines exist and are parked
 	closed bool
@@ -373,16 +413,7 @@ func NewRunner(n int, ids []int, policy Policy, opts ...Option) *Runner {
 		granting:   -1,
 	}
 	for i := 0; i < n; i++ {
-		p := &Proc{r: r, index: i, id: r.ids[i]}
-		p.decideFn = func() any {
-			if r.result.Decided[p.index] {
-				panic(fmt.Sprintf("sched: process %d decided twice", p.index))
-			}
-			r.result.Decided[p.index] = true
-			r.result.Outputs[p.index] = p.decideVal
-			return nil
-		}
-		r.procs[i] = p
+		r.procs[i] = &Proc{r: r, index: i, id: r.ids[i]}
 	}
 	for _, opt := range opts {
 		opt(r)
@@ -451,9 +482,10 @@ func (r *Runner) teardown() {
 //
 // The returned Result is owned by the runner and re-filled by the next
 // Run; copy anything that must outlive it. If protocol code panics — on a
-// process coroutine, or inside an op on the scheduler side — Run first
-// crash-unwinds every other process so nothing leaks, then re-raises the
-// original panic values as a ProcessPanics.
+// process coroutine, or inside an Exec closure — Run first crash-unwinds
+// every other process so nothing leaks, then re-raises the original panic
+// values as a ProcessPanics. A panic raised by the policy is re-raised
+// as-is, after the same unwinding.
 func (r *Runner) Run(body Body) (*Result, error) {
 	if r.closed {
 		panic("sched: Run called on a closed Runner")
@@ -509,6 +541,12 @@ func (r *Runner) beginRun() {
 	r.exited = 0
 	r.crashedCount = 0
 	r.granting = -1
+	r.script, r.scriptPos = nil, 0
+	if rp, ok := r.policy.(replayPolicy); ok {
+		r.script = rp.replayPrefix()
+	}
+	r.stepper, r.hasHeld, r.policyPanic = nil, false, nil
+	r.resumes = 0
 }
 
 // pull resumes a process coroutine and records its next pending request;
@@ -521,9 +559,11 @@ func (r *Runner) beginRun() {
 //
 //gsb:hotpath
 func (r *Runner) pull(p *Proc) {
+	r.resumes++
 	req, ok := p.next()
 	for ok && !req.parked && p.dead {
 		p.crashed = true
+		r.resumes++
 		req, ok = p.next()
 	}
 	if !ok || req.parked {
@@ -544,13 +584,16 @@ func (r *Runner) crashPull(p *Proc) {
 	r.pull(p)
 }
 
-// schedule is the scheduler loop. Between decisions every live process is
-// suspended at its yield point with a pending request — the coroutine
+// schedule is the scheduler loop. Whenever it decides, every live process
+// is suspended at its yield point with a pending request — the coroutine
 // invariant — so the policy always chooses among all live processes and
-// the run is deterministic. If an op (or the policy) panics here, the
-// deferred recovery crash-unwinds every suspended process, so the panic
-// cannot leak a coroutine; op panics are attributed to the granted process
-// and re-raised by Run, any other panic is re-raised as-is.
+// the run is deterministic. The loop applies decisions the granted
+// process took in place but could not apply itself (grantInPlace), and
+// takes the rest itself. If an Exec closure (or the policy) panics here,
+// the deferred recovery crash-unwinds every suspended process, so the
+// panic cannot leak a coroutine; closure panics are attributed to the
+// granted process and re-raised by Run, any other panic is re-raised
+// as-is.
 //
 //gsb:hotpath
 func (r *Runner) schedule() (budgetErr error) {
@@ -568,43 +611,49 @@ func (r *Runner) schedule() (budgetErr error) {
 	}()
 
 	for r.exited < r.n {
-		// The pending table is indexed by process, so an ascending scan
-		// yields the sorted index list the Policy contract promises.
-		idx := r.pendingIdx[:0]
-		for i := 0; i < r.n; i++ {
-			if r.pendingOn[i] {
-				idx = append(idx, i) //gsb:alloc-ok appends into r.pendingIdx[:0], pre-grown to n at NewRunner
-			}
+		if rec := r.policyPanic; rec != nil {
+			// The policy panicked during an in-place decision; the
+			// deciding process has yielded, so every process is
+			// suspended and the recovery above unwinds them all.
+			r.policyPanic = nil
+			panic(rec)
 		}
-		r.pendingIdx = idx
 
 		var dec Decision
 		if budgetErr != nil || r.result.Steps >= r.maxSteps {
 			// Budget exhausted: crash everyone still pending to unwind
-			// their coroutines, then report the error.
+			// their coroutines, then report the error. (No decision is
+			// held here: in-place decisions are taken only within the
+			// budget.)
 			if budgetErr == nil {
 				budgetErr = ErrStepBudget
 			}
-			dec = Decision{Proc: idx[0], Crash: true}
+			dec = Decision{Proc: r.firstPending(), Crash: true}
 		} else {
-			dec = r.nextDecision(idx)
+			switch {
+			case r.hasHeld: // taken in place by the process that just yielded
+				dec, r.hasHeld = r.held, false
+			case r.scriptPos < len(r.script):
+				dec = r.replay()
+			default:
+				dec = r.nextDecision()
+			}
 			if dec.Abort {
 				// The policy discards the rest of the run (e.g. a
 				// partial-order-reduction probe whose continuations are
 				// all covered elsewhere): unwind like a budget overrun
-				// and report ErrRunAborted — or the policy's own
-				// structured error (e.g. ErrScheduleDiverged) when it
-				// set one.
+				// and report ErrRunAborted — or the structured error
+				// (e.g. ErrScheduleDiverged) the decision carries.
 				budgetErr = ErrRunAborted
 				if dec.Err != nil {
 					budgetErr = dec.Err
 				}
-				dec = Decision{Proc: idx[0], Crash: true}
+				dec = Decision{Proc: r.firstPending(), Crash: true}
 			} else if dec.Proc < 0 || dec.Proc >= r.n || !r.pendingOn[dec.Proc] {
 				// A broken policy: unwind the run (rather than leaking
 				// every suspended process) and surface the error.
 				budgetErr = fmt.Errorf("sched: policy chose process %d which has no pending step", dec.Proc)
-				dec = Decision{Proc: idx[0], Crash: true}
+				dec = Decision{Proc: r.firstPending(), Crash: true}
 			}
 		}
 
@@ -630,21 +679,102 @@ func (r *Runner) schedule() (budgetErr error) {
 			p.replyVal = req.fn() // exclusive: the linearization point of the step
 			r.granting = -1
 		}
-		r.result.Steps++
-		r.result.procSteps[dec.Proc]++
-		r.result.Schedule = append(r.result.Schedule, Step{Proc: dec.Proc, Op: req.op.Label}) //gsb:alloc-ok reused Result.Schedule scratch, steady-state capacity after the first run
+		r.grant(dec.Proc, req.op)
 		// Resuming the process grants the step; a typed op is applied by
-		// the process itself before it can yield again.
+		// the process itself before it can request again, and its typed
+		// requests are decided in place until the running process
+		// changes.
+		r.stepper = p
 		r.pull(p)
+		r.stepper = nil
 	}
 	return budgetErr
 }
 
+// grantInPlace takes the decision after p's new request for op on p's
+// own stack. Every other live process is suspended at its yield point,
+// so the pending set is the one the scheduler would see. When the
+// decision picks p (and is no crash or abort) the step is granted here
+// and p carries on without a switch; any other decision is held for the
+// scheduler, which applies it once p has yielded — the policy is
+// consulted exactly once per decision either way.
+//
+//gsb:hotpath
+func (r *Runner) grantInPlace(p *Proc, op *Op) bool {
+	i := p.index
+	k := r.scriptPos
+	if k < len(r.script) && r.script[k] == i {
+		// The replayed prefix picks p again: grant the step without
+		// touching the pending table.
+		r.scriptPos++
+		r.grant(i, op)
+		return true
+	}
+	r.pendingReq[i] = stepReq{op: op}
+	r.pendingOn[i] = true
+	var dec Decision
+	if k < len(r.script) {
+		dec = r.replay()
+	} else if d, ok := r.consultInPlace(); ok {
+		dec = d
+	} else {
+		return false // the policy panicked; the scheduler re-raises it
+	}
+	if dec.Proc == i && !dec.Crash && !dec.Abort {
+		r.pendingReq[i] = stepReq{}
+		r.pendingOn[i] = false
+		r.grant(i, op)
+		return true
+	}
+	r.held, r.hasHeld = dec, true
+	return false
+}
+
+// consultInPlace consults the policy on a process stack. A policy panic
+// must not unwind the process body as a protocol panic: it is captured
+// and held, and the scheduler re-raises it as-is once the process has
+// yielded.
+//
+//gsb:hotpath
+func (r *Runner) consultInPlace() (dec Decision, ok bool) {
+	//gsb:alloc-ok open-coded defer in a function whose closure does not escape: stack-allocated; TestReusedRunnerAllocsPerStep pins the step path at 0 allocs
+	defer func() {
+		if rec := recover(); rec != nil {
+			r.policyPanic = rec
+		}
+	}()
+	return r.nextDecision(), true
+}
+
+// grant records the granted step of process i, whose request has left
+// the pending table.
+//
+//gsb:hotpath
+func (r *Runner) grant(i int, op *Op) {
+	r.result.Steps++
+	r.result.procSteps[i]++
+	r.result.Schedule = append(r.result.Schedule, Step{Proc: i, Op: op.Label}) //gsb:alloc-ok reused Result.Schedule scratch, steady-state capacity after the first run
+}
+
+// firstPending returns the smallest process index with a pending step:
+// the one a budget overrun, abort or broken policy crashes first.
+func (r *Runner) firstPending() int {
+	for i, on := range r.pendingOn {
+		if on {
+			return i
+		}
+	}
+	panic("sched: no pending step while processes are live")
+}
+
 // unwind crash-denies every process still suspended after a scheduler
-// panic — the one whose op was executing, and everyone parked on a
-// pending request — so the panic leaks no coroutine. The coroutine
-// invariant guarantees there is no third kind of live process.
+// panic — the one whose Exec closure was executing, and everyone parked
+// on a pending request — so the panic leaks no coroutine. The coroutine
+// invariant guarantees there is no third kind of live process: the
+// scheduler only panics while it holds control, with every process
+// suspended.
 func (r *Runner) unwind() {
+	r.stepper, r.hasHeld = nil, false
 	if g := r.granting; g >= 0 {
 		r.granting = -1
 		r.crashPull(r.procs[g])
@@ -658,17 +788,63 @@ func (r *Runner) unwind() {
 	}
 }
 
-// nextDecision consults the policy for the next scheduling decision,
-// passing the pending typed operations when the policy asks for them
-// (OpAwarePolicy). The slices are the runner's reusable scratch buffers.
-// An Exec step's label is parsed here, at each decision it is pending
-// for, and only for such policies.
+// replay takes the next decision of a replayPolicy's prefix: its next
+// choice, checked against the pending table. It makes no policy call and
+// builds no pending list or op copy.
 //
 //gsb:hotpath
-func (r *Runner) nextDecision(pendingIdx []int) Decision {
+func (r *Runner) replay() Decision {
+	pick := r.script[r.scriptPos]
+	if pick < 0 || pick >= r.n || !r.pendingOn[pick] {
+		return Decision{Abort: true, Err: r.diverged(pick)}
+	}
+	r.scriptPos++
+	return Decision{Proc: pick}
+}
+
+// diverged is the error of a replayed prefix choice that names a process
+// with no pending step.
+func (r *Runner) diverged(pick int) error {
+	var pending []int
+	for i, on := range r.pendingOn {
+		if on {
+			pending = append(pending, i)
+		}
+	}
+	return fmt.Errorf("%w: exploration prefix chose %d but pending is %v", ErrScheduleDiverged, pick, pending)
+}
+
+// replayPolicy is a policy whose runs open with a fixed prefix of
+// choices. The runner replays the prefix itself and consults the policy
+// only from the first decision past it; a prefix choice naming a process
+// with no pending step aborts the run with ErrScheduleDiverged.
+type replayPolicy interface {
+	Policy
+	// replayPrefix returns the prefix; the runner reads it once, when a
+	// run begins, and does not modify it.
+	replayPrefix() []int
+}
+
+// nextDecision consults the policy for the next scheduling decision,
+// passing the sorted pending list and — when the policy asks for them
+// (OpAwarePolicy) — the pending typed operations. The slices are the
+// runner's reusable scratch buffers. An Exec step's label is parsed here,
+// at each decision it is pending for, and only for such policies.
+//
+//gsb:hotpath
+func (r *Runner) nextDecision() Decision {
+	// The pending table is indexed by process, so an ascending scan
+	// yields the sorted index list the Policy contract promises.
+	idx := r.pendingIdx[:0]
+	for i, on := range r.pendingOn {
+		if on {
+			idx = append(idx, i) //gsb:alloc-ok appends into r.pendingIdx[:0], pre-grown to n at NewRunner
+		}
+	}
+	r.pendingIdx = idx
 	if oap, ok := r.policy.(OpAwarePolicy); ok {
 		ops := r.opsBuf[:0]
-		for _, i := range pendingIdx {
+		for _, i := range idx {
 			op := *r.pendingReq[i].op
 			if op.Kind == KindUnparsed {
 				op = ParseOp(op.Label)
@@ -676,7 +852,7 @@ func (r *Runner) nextDecision(pendingIdx []int) Decision {
 			ops = append(ops, op) //gsb:alloc-ok appends into r.opsBuf[:0], pre-grown to n at NewRunner
 		}
 		r.opsBuf = ops
-		return oap.NextOps(pendingIdx, ops, r.result.Steps)
+		return oap.NextOps(idx, ops, r.result.Steps)
 	}
-	return r.policy.Next(pendingIdx, r.result.Steps)
+	return r.policy.Next(idx, r.result.Steps)
 }

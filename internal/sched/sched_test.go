@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -233,10 +234,18 @@ func TestScriptReplayReproducesRun(t *testing.T) {
 	}
 }
 
+// TestDecideTwicePanics: Decide is a typed step its process applies, so
+// deciding twice is a protocol bug reported from the process side, as a
+// ProcessPanics naming the process.
 func TestDecideTwicePanics(t *testing.T) {
 	defer func() {
-		if recover() == nil {
+		rec := recover()
+		if rec == nil {
 			t.Fatal("expected panic on double decide")
+		}
+		pps, ok := rec.(ProcessPanics)
+		if !ok || len(pps) != 1 || pps[0].Proc != 0 || !strings.Contains(fmt.Sprint(pps[0].Value), "decided twice") {
+			t.Fatalf("panic value = %#v, want one ProcessPanic of process 0 for the double decide", rec)
 		}
 	}()
 	r := NewRunner(1, DefaultIDs(1), NewRoundRobin())
