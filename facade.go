@@ -138,7 +138,7 @@ const (
 var (
 	NewRunner = sched.NewRunner
 	// WithMaxSteps overrides a runner's per-run step budget; WithReuse
-	// keeps its process coroutines parked between runs (Reset re-arms it
+	// keeps its process coroutines between runs (Reset re-arms it
 	// per run; the caller must Close), which is the zero-allocation path
 	// the exploration engines use.
 	WithMaxSteps         = sched.WithMaxSteps

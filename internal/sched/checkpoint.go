@@ -148,10 +148,10 @@ func (r *ResumableExplorer) Slice(ctx context.Context, state *ExploreState, slic
 	e.claimed.Store(state.Claimed)
 	e.completed.Store(state.Completed)
 	if state.Failure != nil {
-		e.best = &exploreFailure{
+		e.best.Store(&exploreFailure{
 			choices: append([]int(nil), state.Failure.Choices...),
 			err:     state.Failure.Err(),
-		}
+		})
 	}
 	if e.memo != nil {
 		for _, h := range state.MemoHashes {
@@ -198,15 +198,13 @@ func (e *explorer) collectState() *ExploreState {
 	if st.Frontier == nil {
 		st.Frontier = []FrontierState{}
 	}
-	e.mu.Lock()
-	if e.best != nil {
+	if f := e.best.Load(); f != nil {
 		st.Failure = &FailureState{
-			Choices: append([]int(nil), e.best.choices...),
-			Message: e.best.err.Error(),
-			err:     e.best.err,
+			Choices: append([]int(nil), f.choices...),
+			Message: f.err.Error(),
+			err:     f.err,
 		}
 	}
-	e.mu.Unlock()
 	if e.memo != nil {
 		st.MemoHashes = e.memo.hashes()
 	}

@@ -235,7 +235,7 @@ func Explore(ctx context.Context, n int, ids []int, opts ExploreOptions, build f
 	e := newRootExplorer(ctx, n, ids, opts, build, check, nil)
 	e.runWorkers()
 
-	if f := e.best; f != nil {
+	if f := e.best.Load(); f != nil {
 		// Deterministic aggregation: recount the schedules preceding the
 		// settled lexicographic-minimum failure with a fixed bound. If the
 		// discovery pass drained without exhausting MaxRuns, the recount —
@@ -341,8 +341,11 @@ type explorer struct {
 	met   *engineMetrics // resolved stats handles; nil when opts.Stats is nil
 	model MemModel       // resolved opts.Model, applied to every worker runner
 
+	// best is the lexicographically smallest failure seen. It is read
+	// without a lock (pruneBound reads it twice per run); mu serializes
+	// recordFailure's compare-and-store.
 	mu   sync.Mutex
-	best *exploreFailure // lexicographically smallest failure seen
+	best atomic.Pointer[exploreFailure]
 }
 
 func newExplorer(ctx context.Context, n int, ids []int, opts ExploreOptions, build func() Body, check func(*Result) error, bound []int) *explorer {
@@ -399,6 +402,9 @@ func (e *explorer) runWorkers() {
 		}(w)
 	}
 	wg.Wait()
+	// Workers publish the frontier gauge as they go, and two of them can
+	// publish out of order; settle it on the drained value.
+	e.met.setFrontier(e.pending.Load())
 }
 
 // workerScratch is what one worker reuses across every run it executes:
@@ -556,20 +562,18 @@ func (e *explorer) pruneBound() []int {
 	if e.bound != nil {
 		return e.bound
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.best == nil {
-		return nil
+	if f := e.best.Load(); f != nil {
+		return f.choices
 	}
-	return e.best.choices
+	return nil
 }
 
 func (e *explorer) recordFailure(choices []int, err error) {
 	c := append([]int(nil), choices...)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.best == nil || lexLess(c, e.best.choices) {
-		e.best = &exploreFailure{choices: c, err: err}
+	if f := e.best.Load(); f == nil || lexLess(c, f.choices) {
+		e.best.Store(&exploreFailure{choices: c, err: err})
 	}
 }
 

@@ -22,15 +22,23 @@ func (c *countingExplore) Next(pending []int, stepNo int) Decision {
 	return c.explorePolicy.Next(pending, stepNo)
 }
 
-// countingPOR counts the decisions porPolicy is consulted on.
+// countingPOR counts the decisions porPolicy is consulted on, and notes
+// how many coroutine resumptions runner had made when the policy aborted
+// the run.
 type countingPOR struct {
 	*porPolicy
-	calls int
+	runner         *Runner
+	calls          int
+	resumesAtAbort int
 }
 
 func (c *countingPOR) NextOps(pending []int, ops []Op, stepNo int) Decision {
 	c.calls++
-	return c.porPolicy.NextOps(pending, ops, stepNo)
+	dec := c.porPolicy.NextOps(pending, ops, stepNo)
+	if dec.Abort {
+		c.resumesAtAbort = c.runner.resumes
+	}
+	return dec
 }
 
 // CheckReplayEquivalence walks a seeded sample of the schedule tree of
@@ -44,8 +52,11 @@ func (c *countingPOR) NextOps(pending []int, ops []Op, stepNo int) Decision {
 //     granted steps, and for a completed run its whole Result.Schedule,
 //     outputs and decided flags, with the choices as its process
 //     sequence;
-//   - a completed run, replayed or scripted, resumes coroutines at most
-//     n + (process changes) times: at most 2n + 2·changes switches.
+//   - a replayed run resumes coroutines at most once per change of the
+//     running process plus once per process first started for a policy
+//     decision (those its prefix never picks), and an aborted one resumes
+//     nothing after the abort; a scripted run, whose policy takes every
+//     decision, at most n + (process changes) times.
 //
 // It returns the number of prefixes checked.
 func CheckReplayEquivalence(t *testing.T, n int, model string, reduction Reduction, build func() Body, maxItems int) int {
@@ -60,7 +71,7 @@ func CheckReplayEquivalence(t *testing.T, n int, model string, reduction Reducti
 	defer scripted.Close()
 
 	ex := &countingExplore{explorePolicy: &explorePolicy{}}
-	por := &countingPOR{porPolicy: &porPolicy{}}
+	por := &countingPOR{porPolicy: &porPolicy{}, runner: replayer}
 	rng := rand.New(rand.NewSource(1))
 	queue := []frontierItem{{choices: []int{}}}
 	checked := 0
@@ -109,8 +120,10 @@ func CheckReplayEquivalence(t *testing.T, n int, model string, reduction Reducti
 			Outputs:  slices.Clone(res.Outputs),
 			Decided:  slices.Clone(res.Decided),
 		}
-		if !aborted {
-			checkResumes(t, "replayed", item.choices, n, replayer.resumes, replayed.Schedule)
+		checkResumes(t, "replayed", item.choices, policyStarts(n, item.choices), replayer.resumes, replayed.Schedule)
+		if aborted && replayer.resumes != por.resumesAtAbort {
+			t.Fatalf("prefix %v: aborted run resumed coroutines %d times, %d of them after the abort",
+				item.choices, replayer.resumes, replayer.resumes-por.resumesAtAbort)
 		}
 
 		script := make([]Decision, len(choices))
@@ -150,13 +163,28 @@ func CheckReplayEquivalence(t *testing.T, n int, model string, reduction Reducti
 	return checked
 }
 
-// checkResumes fails the test when a completed run resumed coroutines
-// more than once per process plus once per change of running process.
-func checkResumes(t *testing.T, how string, prefix []int, n, resumes int, schedule []Step) {
+// policyStarts is the number of processes a run replaying prefix starts
+// for a policy decision: those the prefix never picks.
+func policyStarts(n int, prefix []int) int {
+	picked := make([]bool, n)
+	starts := n
+	for _, c := range prefix {
+		if !picked[c] {
+			picked[c] = true
+			starts--
+		}
+	}
+	return starts
+}
+
+// checkResumes fails the test when a run resumed coroutines more than
+// once per change of running process plus once per process started for a
+// policy decision.
+func checkResumes(t *testing.T, how string, prefix []int, starts, resumes int, schedule []Step) {
 	t.Helper()
 	changes := processChanges(schedule)
-	if resumes > n+changes {
-		t.Fatalf("prefix %v: %s run resumed coroutines %d times (%d switches), want at most n + changes = %d",
-			prefix, how, resumes, 2*resumes, n+changes)
+	if resumes > starts+changes {
+		t.Fatalf("prefix %v: %s run resumed coroutines %d times, want at most %d changes + %d policy starts",
+			prefix, how, resumes, changes, starts)
 	}
 }

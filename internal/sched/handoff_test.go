@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -182,4 +183,101 @@ func TestInPlaceDecisionDiverges(t *testing.T) {
 		t.Fatalf("err = %v, want ErrScheduleDiverged", err)
 	}
 	waitGoroutines(t, before)
+}
+
+// TestFullPrefixResumesOncePerBlock pins lazy start: replaying a completed
+// run's full choice list starts each process on the choice that first
+// picks it and consults no policy, so the run resumes a coroutine exactly
+// once per maximal same-process block of its schedule — starting a
+// process and granting its first step is a single resume. Starting every
+// process up front costs n more.
+func TestFullPrefixResumesOncePerBlock(t *testing.T) {
+	const n, k = 4, 3
+	r := NewRunner(n, DefaultIDs(n), nil, WithReuse())
+	defer r.Close()
+	for seed := int64(1); seed <= 20; seed++ {
+		r.Reset(NewRandom(seed))
+		res, err := r.Run(typedBody(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		schedule := slices.Clone(res.Schedule)
+		choices := make([]int, len(schedule))
+		for i, s := range schedule {
+			choices[i] = s.Proc
+		}
+		policy := &countingExplore{explorePolicy: &explorePolicy{}}
+		policy.reset(choices)
+		r.Reset(policy)
+		res, err = r.Run(typedBody(k))
+		if err != nil {
+			t.Fatalf("seed %d: replaying %v: %v", seed, choices, err)
+		}
+		if !slices.Equal(res.Schedule, schedule) {
+			t.Fatalf("seed %d: replay scheduled %v, the run it replays %v", seed, res.Schedule, schedule)
+		}
+		if policy.calls != 0 {
+			t.Fatalf("seed %d: policy consulted %d times on a fully replayed run", seed, policy.calls)
+		}
+		if blocks := processChanges(schedule); r.resumes != blocks {
+			t.Fatalf("seed %d: %d resumes for %d same-process blocks (schedule %v)", seed, r.resumes, blocks, choices)
+		}
+	}
+}
+
+// TestEarlyEndResumesNothing: ending a run early resumes no coroutine.
+// A POR probe whose every pending process is asleep, and replays that
+// diverge (found in place or by the scheduler), cost exactly the resumes
+// of the steps they granted — one per same-process block, plus one per
+// process started for a policy decision — and none to crash the rest.
+func TestEarlyEndResumesNothing(t *testing.T) {
+	const n = 2
+	r := NewRunner(n, DefaultIDs(n), nil, WithReuse())
+	defer r.Close()
+
+	t.Run("por-probe", func(t *testing.T) {
+		// Process 0's write is replayed; at the first policy decision
+		// both pending processes are asleep.
+		por := &countingPOR{porPolicy: &porPolicy{}, runner: r}
+		por.reset([]int{0}, []int{0, 1})
+		r.Reset(por)
+		res, err := r.Run(typedBody(1))
+		if !errors.Is(err, ErrRunAborted) {
+			t.Fatalf("err = %v, want ErrRunAborted", err)
+		}
+		if por.calls != 1 {
+			t.Fatalf("policy consulted %d times, want 1 (the abort)", por.calls)
+		}
+		if r.resumes != por.resumesAtAbort {
+			t.Fatalf("%d resumes, %d of them after the abort", r.resumes, r.resumes-por.resumesAtAbort)
+		}
+		if want := processChanges(res.Schedule) + 1; r.resumes != want {
+			t.Fatalf("%d resumes, want %d (one block, one policy start)", r.resumes, want)
+		}
+		if !res.Crashed[0] || !res.Crashed[1] {
+			t.Fatalf("aborted run did not crash every live process: %v", res.Schedule)
+		}
+	})
+
+	for _, tc := range []struct {
+		name   string
+		prefix []int
+		starts int // processes the prefix never picks
+	}{
+		{"in-place", []int{1, 1, 0, 1}, 0}, // process 0 finds process 1 finished
+		{"scheduler", []int{1, 1, 1}, 1},   // the scheduler finds process 1 finished
+	} {
+		t.Run("diverged/"+tc.name, func(t *testing.T) {
+			policy := &explorePolicy{}
+			policy.reset(tc.prefix)
+			r.Reset(policy)
+			res, err := r.Run(typedBody(1))
+			if !errors.Is(err, ErrScheduleDiverged) {
+				t.Fatalf("err = %v, want ErrScheduleDiverged", err)
+			}
+			if want := processChanges(res.Schedule) + tc.starts; r.resumes != want {
+				t.Fatalf("%d resumes, want %d (schedule %v)", r.resumes, want, res.Schedule)
+			}
+		})
+	}
 }

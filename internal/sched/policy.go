@@ -11,8 +11,9 @@ import (
 type Decision struct {
 	Proc  int
 	Crash bool
-	// Abort discards the rest of the run: the runner crashes every
-	// remaining process to unwind their goroutines and Run returns
+	// Abort discards the rest of the run: the runner records a crash of
+	// every remaining process, in index order, without resuming any of
+	// them (their coroutines unwind when next resumed), and Run returns
 	// ErrRunAborted. The partial-order-reduction policy uses it to cut
 	// short runs whose every continuation is provably explored
 	// elsewhere. Proc and Crash are ignored when Abort is set.

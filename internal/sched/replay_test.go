@@ -12,8 +12,9 @@ import (
 // of both exploration policies on slot-renaming n=3 (Figure 2) under the
 // atomic and the regular memory model: sampled frontier prefixes
 // replayed by the runner match the same choices driven through a Script,
-// the policy is consulted only past the prefix, and completed runs pay
-// one coroutine resumption per change of running process
+// the policy is consulted only past the prefix, runs pay one coroutine
+// resumption per change of running process plus one per process started
+// for a policy decision, and an aborted probe none after its abort
 // (sched.CheckReplayEquivalence).
 func TestReplayEquivalenceSlotRenaming(t *testing.T) {
 	const n = 3

@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -296,13 +297,19 @@ func TestRunnerCloseReleasesCoroutines(t *testing.T) {
 
 // TestOneShotRunnerLeavesNoCoroutines checks that a runner without
 // WithReuse needs no Close: its process coroutines are torn down at the
-// end of each Run.
+// end of each Run, those of processes an aborted run crashed included.
 func TestOneShotRunnerLeavesNoCoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	counter := 0
 	r := NewRunner(3, DefaultIDs(3), NewRoundRobin())
 	if _, err := r.Run(counterBody(&counter, 2)); err != nil {
 		t.Fatalf("run failed: %v", err)
+	}
+	waitGoroutines(t, before)
+
+	abort := policyFunc(func([]int, int) Decision { return Decision{Abort: true} })
+	if _, err := NewRunner(3, DefaultIDs(3), abort).Run(denyingBody(2)); !errors.Is(err, ErrRunAborted) {
+		t.Fatalf("err = %v, want ErrRunAborted", err)
 	}
 	waitGoroutines(t, before)
 }
@@ -430,4 +437,238 @@ func TestExploreWorkersReuseDifferential(t *testing.T) {
 func ExploreAllWorkers(t *testing.T, n, workers int, build func() Body, check func(*Result) error) (int, error) {
 	t.Helper()
 	return Explore(nil, n, DefaultIDs(n), ExploreOptions{Workers: workers, MaxRuns: 1 << 20, MaxSteps: 1 << 16}, build, check)
+}
+
+// denyingBody takes k typed writes and decides. If it is crashed, its
+// defers recover the unwind and re-enter Exec and then Step: a crash is
+// final, so both must be denied and neither may reach a schedule.
+func denyingBody(k int) Body {
+	op := Object("reuse.X").Op(KindWrite)
+	cleanup := Object("reuse.cleanup").Op(KindWrite)
+	return func(p *Proc) {
+		defer func() {
+			if recover() != nil {
+				p.Step(cleanup) // must be denied
+			}
+		}()
+		defer func() {
+			if recover() != nil {
+				p.Exec("reuse.cleanup", func() any { return nil }) // must be denied
+			}
+		}()
+		for i := 0; i < k; i++ {
+			p.Step(op)
+		}
+		p.Decide(p.ID())
+	}
+}
+
+// spinningBody requests steps forever: its runs end at the step budget.
+func spinningBody(p *Proc) {
+	op := Object("reuse.X").Op(KindWrite)
+	for {
+		p.Step(op)
+	}
+}
+
+// checkNoCleanup fails when a denied cleanup step reached a schedule.
+func checkNoCleanup(t *testing.T, schedule []Step) {
+	t.Helper()
+	for _, s := range schedule {
+		if s.Op == "reuse.cleanup.write" || s.Op == "reuse.cleanup" {
+			t.Fatalf("denied cleanup step in the schedule: %v", schedule)
+		}
+	}
+}
+
+// TestCleanRunAfterEarlyEnds: crashed processes are left suspended, so a
+// WithReuse runner resumes each of them — unwinding the crashed body —
+// inside the run that starts it next. After each way a run can leave
+// crashed coroutines behind (an abort, a diverged replay, a step-budget
+// overrun, an adversary crash, a policy panic), the next runs on the
+// reused runner must give the same Results as one-shot runners, under a
+// policy and under a replayed prefix; no denied step may reach any
+// schedule; and Close must bring the goroutine count back to baseline.
+func TestCleanRunAfterEarlyEnds(t *testing.T) {
+	const n, k = 3, 2
+	before := runtime.NumGoroutine()
+	r := NewRunner(n, DefaultIDs(n), nil, WithReuse(), WithMaxSteps(64))
+	for _, tc := range []struct {
+		name    string
+		policy  func() Policy
+		body    Body
+		wantErr error // nil: the run must complete
+		panics  bool  // the run re-raises the policy's panic
+	}{
+		{"abort", func() Policy { return policyFunc(func([]int, int) Decision { return Decision{Abort: true} }) },
+			denyingBody(k), ErrRunAborted, false},
+		{"diverged", func() Policy {
+			p := &explorePolicy{}
+			p.reset([]int{0, n + 4})
+			return p
+		}, denyingBody(k), ErrScheduleDiverged, false},
+		{"budget", func() Policy { return NewRoundRobin() }, spinningBody, ErrStepBudget, false},
+		{"adversary-crash", func() Policy { return &CrashAt{Inner: NewRoundRobin(), Proc: 1, StepsBeforeCrash: 1} },
+			denyingBody(k), nil, false},
+		{"policy-panic", func() Policy { return &panickyPolicy{r: r, k: 4} }, denyingBody(k), nil, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// endEarly runs the scenario, leaving crashed coroutines
+			// suspended on the reused runner.
+			endEarly := func() {
+				t.Helper()
+				defer func() {
+					if rec := recover(); (rec != nil) != tc.panics {
+						t.Fatalf("recovered %v, want a panic: %v", rec, tc.panics)
+					}
+				}()
+				r.Reset(tc.policy())
+				res, err := r.Run(tc.body)
+				if (tc.wantErr == nil) != (err == nil) || !errors.Is(err, tc.wantErr) {
+					t.Fatalf("err = %v, want %v", err, tc.wantErr)
+				}
+				checkNoCleanup(t, res.Schedule)
+				if !res.Crashed[1] {
+					t.Fatalf("process 1 not crashed: %v", res.Schedule)
+				}
+			}
+			for seed := int64(1); seed <= 3; seed++ {
+				fresh, err := NewRunner(n, DefaultIDs(n), NewRandom(seed)).Run(denyingBody(k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				choices := make([]int, len(fresh.Schedule))
+				for i, s := range fresh.Schedule {
+					choices[i] = s.Proc
+				}
+
+				endEarly()
+				r.Reset(NewRandom(seed))
+				got, err := r.Run(denyingBody(k))
+				if err != nil {
+					t.Fatalf("run after %s: %v", tc.name, err)
+				}
+				checkNoCleanup(t, got.Schedule)
+				sameResult(t, fresh, got)
+
+				// The same run as a replayed prefix: the crashed
+				// coroutines unwind inside the resumes that start the
+				// processes lazily.
+				endEarly()
+				replay := &explorePolicy{}
+				replay.reset(choices)
+				r.Reset(replay)
+				got, err = r.Run(denyingBody(k))
+				if err != nil {
+					t.Fatalf("replayed run after %s: %v", tc.name, err)
+				}
+				sameResult(t, fresh, got)
+			}
+		})
+	}
+	r.Close()
+	waitGoroutines(t, before)
+}
+
+// sameResult fails unless got equals want in every field a caller sees.
+func sameResult(t *testing.T, want, got *Result) {
+	t.Helper()
+	if got.Steps != want.Steps || !slices.Equal(got.Schedule, want.Schedule) || !slices.Equal(got.Outputs, want.Outputs) ||
+		!slices.Equal(got.Decided, want.Decided) || !slices.Equal(got.Crashed, want.Crashed) {
+		t.Fatalf("reused runner: %d steps %v -> %v %v %v; one-shot: %d steps %v -> %v %v %v",
+			got.Steps, got.Schedule, got.Outputs, got.Decided, got.Crashed,
+			want.Steps, want.Schedule, want.Outputs, want.Decided, want.Crashed)
+	}
+	for i := range want.Outputs {
+		if got.Participating(i) != want.Participating(i) {
+			t.Fatalf("process %d participating: reused %v, one-shot %v", i, got.Participating(i), want.Participating(i))
+		}
+	}
+}
+
+// deferPanic is what a crashed body's defer panics with while it unwinds.
+type deferPanic struct{ proc int }
+
+// TestUnwindPanicAttribution pins when a panic raised by a protocol defer
+// while a crashed body unwinds is reported: as a ProcessPanic of that
+// process, by the same Run on a one-shot runner (which unwinds its
+// crashed coroutines before returning), and on a WithReuse runner by the
+// later Run whose resume unwinds it — that Run still executes the new
+// body to completion first. Close reports nothing.
+func TestUnwindPanicAttribution(t *testing.T) {
+	const n = 3
+	op := Object("reuse.X").Op(KindWrite)
+	decides := 0
+	body := func(p *Proc) {
+		defer func() {
+			if recover() != nil { // only a crash unwinds this body
+				panic(deferPanic{proc: p.Index()})
+			}
+		}()
+		p.Step(op)
+		p.Step(op)
+		p.Decide(p.ID())
+		decides++
+	}
+	crash1 := func() Policy { return &CrashAt{Inner: NewRoundRobin(), Proc: 1, StepsBeforeCrash: 1} }
+	// runPanics runs one run and returns what it re-raised as
+	// ProcessPanics (nil when it returned), and its Result.
+	runPanics := func(r *Runner, policy Policy) (pps ProcessPanics, res *Result) {
+		t.Helper()
+		defer func() {
+			if rec := recover(); rec != nil {
+				var ok bool
+				if pps, ok = rec.(ProcessPanics); !ok {
+					t.Fatalf("panic value is %T (%v), want ProcessPanics", rec, rec)
+				}
+			}
+		}()
+		r.Reset(policy)
+		res, err := r.Run(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nil, res
+	}
+	wantDeferPanic := func(pps ProcessPanics) {
+		t.Helper()
+		if len(pps) != 1 || pps[0].Proc != 1 || pps[0].Value != (deferPanic{proc: 1}) {
+			t.Fatalf("reported %v, want process 1's deferPanic alone", pps)
+		}
+	}
+
+	t.Run("one-shot", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		pps, _ := runPanics(NewRunner(n, DefaultIDs(n), nil), crash1())
+		wantDeferPanic(pps)
+		waitGoroutines(t, before)
+	})
+
+	t.Run("reuse", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		r := NewRunner(n, DefaultIDs(n), nil, WithReuse())
+		pps, res := runPanics(r, crash1())
+		if pps != nil {
+			t.Fatalf("the crashing run reported %v; its crashed body has not unwound yet", pps)
+		}
+		if !res.Crashed[1] {
+			t.Fatalf("process 1 not crashed: %v", res.Schedule)
+		}
+		decides = 0
+		pps, _ = runPanics(r, NewRoundRobin())
+		wantDeferPanic(pps)
+		if decides != n {
+			t.Fatalf("%d processes decided in the run that reported the panic, want all %d", decides, n)
+		}
+		// The run after it starts clean.
+		if pps, res := runPanics(r, NewRoundRobin()); pps != nil || !res.Decided[1] {
+			t.Fatalf("run after the reported panic: %v, %+v", pps, res)
+		}
+		// A crashed body left at Close unwinds there, unreported.
+		if pps, _ := runPanics(r, crash1()); pps != nil {
+			t.Fatalf("the crashing run reported %v", pps)
+		}
+		r.Close()
+		waitGoroutines(t, before)
+	})
 }

@@ -20,13 +20,14 @@
 // or issues an untyped Exec step) does it hand its pending request back
 // in a single stack switch, and the scheduler applies the decision it
 // already took. Either way the policy is consulted exactly once per
-// decision. The runner keeps one hard invariant — every live process
-// except the deciding one is suspended at its yield point with a pending
-// request — so the pending set a decision sees is complete, the run is
-// deterministic, and crash unwinding and panic recovery are leak-free by
-// construction. A step therefore costs a stack switch only when the
-// running process changes, and no channel operation or trip through the
-// runtime scheduler ever.
+// decision. The runner keeps one hard invariant — when a decision is
+// taken, every live process except the deciding one is either unstarted or
+// suspended at its yield point with a pending request, and none is
+// unstarted when the policy is consulted — so the pending set a decision
+// sees is complete, the run is deterministic, and crashes and panic
+// recovery are leak-free by construction. A step therefore costs a stack
+// switch only when the running process changes, and no channel operation
+// or trip through the runtime scheduler ever.
 //
 // The exploration engines re-execute a known prefix of choices before
 // every new decision; the runner replays such a prefix itself
@@ -44,11 +45,29 @@
 // arguments and results on its own stack. No closure, no boxed result, no
 // label string is made per step. Exploration engines
 // re-execute millions of short runs, so a Runner can be re-armed with
-// Reset and — with WithReuse — keep its process coroutines parked between
-// runs instead of recreating them.
+// Reset and — with WithReuse — keep its process coroutines between runs
+// instead of recreating them.
 //
-// A crash is simulated by never granting the process another step; its
-// coroutine is unwound via a recovered panic so that nothing leaks.
+// A process coroutine is resumed only to grant it a step. Run resumes no
+// process up front: a process first runs when the replayed prefix first
+// picks it, resumed as the stepper so that its first request takes that
+// choice in place — starting it and granting its first step cost one
+// resume. The processes the prefix never picks are started before the
+// policy is first consulted (just before the scheduler resumes the process
+// whose in-place decision will consult it), so a policy always sees the
+// full pending set.
+//
+// A crash is simulated by never granting the process another step, and it
+// resumes nothing: the runner records the crash (Result.Crashed and the
+// Schedule entry) and leaves the coroutine suspended at its request. The
+// coroutine unwinds — a recovered panic that runs the body's defers — the
+// next time it is resumed: inside the resume that starts its next run, at a
+// one-shot runner's teardown before Run returns, or at Close. A crashed
+// body that re-enters Step or Exec while it unwinds is refused on its own
+// stack. A process that never started is crashed by dropping its body.
+// Every early end of a run (an abort, a diverged replay, a step-budget
+// overrun, a broken policy, a scheduler-side panic) crashes the live
+// processes this way, in index order.
 package sched
 
 import (
@@ -80,16 +99,21 @@ type Proc struct {
 	id    int // identity drawn from [1..N], the only input
 
 	// Coroutine state: yield suspends the process with its pending
-	// request; next resumes it (from the scheduler side); stop unwinds a
-	// parked coroutine on teardown.
+	// request; next resumes it (from the scheduler side); stop unwinds
+	// the coroutine on teardown.
 	yield func(stepReq) bool
 	next  func() (stepReq, bool)
 	stop  func()
 
-	body     Body // the current run's body, delivered while parked
-	replyVal any  // an Exec closure's result, set before resuming
-	crashed  bool // crash-denial flag, consumed by request on resume
-	dead     bool // the adversary crashed the process: a crash is final
+	// body is the run's body, delivered by Run and taken by the coroutine
+	// when the process starts: non-nil exactly while the process is
+	// unstarted this run.
+	body     Body
+	replyVal any // an Exec closure's result, set before resuming
+	// dead marks the body on the coroutine as crashed: a crash is final,
+	// so its requests are refused on its own stack, and the resume that
+	// next reaches it unwinds it. The next body it starts clears it.
+	dead bool
 
 	// execOp is the Op of the pending Exec step: its label, parsed lazily
 	// (KindUnparsed) when a policy asks for typed ops.
@@ -125,7 +149,7 @@ var errCrashed = errors.New("sched: process crashed")
 // pending; package mem passes Ops from interned ObjectOps tables.
 //
 // If the scheduler crashes the process instead of granting the step, Step
-// never returns (the coroutine unwinds).
+// never returns (the coroutine unwinds when it is next resumed).
 //
 //gsb:hotpath
 func (p *Proc) Step(op *Op) {
@@ -133,21 +157,22 @@ func (p *Proc) Step(op *Op) {
 }
 
 // request hands req to the scheduler and returns once it is granted.
-// A typed step of the process the scheduler last granted is decided in
+// A typed step of the process the scheduler last resumed is decided in
 // place (grantInPlace): when the decision picks this process again the
-// step is granted without a switch.
+// step is granted without a switch. A crashed body's request is refused
+// here, on its own stack, with no switch.
 //
 //gsb:hotpath
 func (p *Proc) request(req stepReq) {
+	if p.dead {
+		panic(errCrashed)
+	}
 	if r := p.r; r.stepper == p && req.fn == nil && r.result.Steps < r.maxSteps && r.grantInPlace(p, req.op) {
 		return
 	}
-	if !p.yield(req) {
-		// The runner was closed mid-run; unwind like a crash.
-		panic(errCrashed)
-	}
-	if p.crashed {
-		p.crashed = false
+	if !p.yield(req) || p.dead {
+		// Crashed while suspended, or the runner is tearing the
+		// coroutine down: unwind.
 		panic(errCrashed)
 	}
 }
@@ -161,7 +186,7 @@ func (p *Proc) request(req stepReq) {
 // operation issued by a mem object.
 //
 // If the scheduler crashes the process instead of granting the step, Exec
-// never returns (the coroutine unwinds).
+// never returns (the coroutine unwinds when it is next resumed).
 //
 //gsb:hotpath
 func (p *Proc) Exec(name string, op func() any) any {
@@ -188,27 +213,36 @@ func (p *Proc) Decide(v int) {
 	res.Outputs[p.index] = v
 }
 
-// run is the process coroutine: parked between runs, one body per run.
+// run is the process coroutine: one body per run, parked between runs.
+// The resume that starts a run finds the body already delivered; when it
+// reaches a crashed body suspended at its request, that body unwinds first
+// and the new one starts in the same resume.
 func (p *Proc) run(yield func(stepReq) bool) {
 	p.yield = yield
-	for yield(stepReq{parked: true}) {
-		p.runBody()
+	for {
+		if p.body != nil {
+			p.runBody()
+		} else if !yield(stepReq{parked: true}) {
+			return
+		}
 	}
 }
 
 // runBody executes one run's body. Panics raised by protocol code outside
 // ops surface here, where the scheduler's recover cannot see them; capture
-// them (crash unwinds excepted) for Run to re-raise.
+// them (crash unwinds excepted) for Run to re-raise. A panic already
+// recorded for the process this run — an Exec closure's, raised on the
+// scheduler side — is kept over one its unwinding defers raise.
 func (p *Proc) runBody() {
 	defer func() {
 		if rec := recover(); rec != nil {
-			if err, ok := rec.(error); !ok || !errors.Is(err, errCrashed) {
+			if err, ok := rec.(error); (!ok || !errors.Is(err, errCrashed)) && p.r.panics[p.index] == nil {
 				p.r.panics[p.index] = rec // protocol bug: re-raise from Run
 			}
 		}
 	}()
 	body := p.body
-	p.body = nil
+	p.body, p.dead = nil, false
 	body(p)
 }
 
@@ -323,12 +357,21 @@ type Runner struct {
 	granting     int // process whose Exec closure is executing right now; -1 otherwise
 
 	// script is the prefix of choices a replayPolicy hands the runner,
-	// replayed up to scriptPos so far in this run.
+	// replayed up to scriptPos so far in this run. Its last maximal
+	// same-process block starts at tailStart and belongs to process tail
+	// (-1 for an empty script).
 	script    []int
 	scriptPos int
+	tailStart int
+	tail      int
+
+	// unstarted counts the processes whose body has been delivered but
+	// not started this run (Proc.body != nil).
+	unstarted int
 
 	// In-place decisions (grantInPlace). stepper is the process the
-	// scheduler last resumed with a grant, nil otherwise: while it runs,
+	// scheduler last resumed with a grant (or to start it on its first
+	// replayed choice), nil otherwise: while it runs,
 	// its typed requests take the next decision on its own stack. A
 	// decision it cannot apply itself is held for the scheduler, and a
 	// policy panic raised by one is held for the scheduler to re-raise.
@@ -341,7 +384,7 @@ type Runner struct {
 	// switches: into the process and back).
 	resumes int
 
-	live   bool // the process coroutines exist and are parked
+	live   bool // the process coroutines exist (parked, or crashed and suspended)
 	closed bool
 }
 
@@ -363,12 +406,16 @@ func WithModel(m MemModel) Option {
 	return func(r *Runner) { r.model = m }
 }
 
-// WithReuse keeps the n process coroutines parked between runs instead of
+// WithReuse keeps the n process coroutines between runs instead of
 // recreating them per Run. Combined with Reset this makes re-executing a
 // run allocation-free in steady state, which is what the exploration
-// engines ride on. The caller must Close the runner when done with it;
-// without WithReuse the coroutines are torn down at the end of each Run
-// and no Close is needed.
+// engines ride on. A process crashed in one run (by the policy, or by an
+// abort, budget overrun or panic ending the run early) stays suspended at
+// its request and unwinds inside the resume that starts it in a later run,
+// or at Close; panics its defers raise then are reported by that later
+// Run. The caller must Close the runner when done with it; without
+// WithReuse the coroutines are torn down at the end of each Run and no
+// Close is needed.
 func WithReuse() Option {
 	return func(r *Runner) { r.reuse = true }
 }
@@ -443,9 +490,12 @@ func (r *Runner) N() int { return r.n }
 // Reset once per schedule prefix instead of constructing a fresh Runner.
 func (r *Runner) Reset(policy Policy) { r.policy = policy }
 
-// Close unwinds the process coroutines a WithReuse runner keeps parked
-// between runs. It is safe to call multiple times, and a no-op for
-// runners without reuse. Run must not be called after Close.
+// Close unwinds the process coroutines a WithReuse runner keeps between
+// runs: the parked ones, and those of processes crashed in the last run
+// they took part in, whose deferred calls run now (a panic one of them
+// raises is not reported: no Run is left to report it). It is safe to
+// call multiple times, and a no-op for runners without reuse. Run must
+// not be called after Close.
 func (r *Runner) Close() {
 	if r.closed {
 		return
@@ -454,18 +504,18 @@ func (r *Runner) Close() {
 	r.teardown()
 }
 
-// spawn creates the n process coroutines and advances each to its initial
-// park, so that every Run starts from the same parked state.
+// spawn creates the n process coroutines. None of them runs yet: a
+// coroutine first runs when the process starts.
 func (r *Runner) spawn() {
 	r.live = true
 	for _, p := range r.procs {
 		p.next, p.stop = iter.Pull(p.run)
-		p.next()
 	}
 }
 
-// teardown unwinds the parked coroutines (their park yield returns false
-// and Proc.run returns).
+// teardown unwinds the coroutines: a parked one's park yield returns
+// false and Proc.run returns; a crashed one's request yield returns false
+// and its body unwinds first; one that never ran just ends.
 func (r *Runner) teardown() {
 	if !r.live {
 		return
@@ -482,10 +532,15 @@ func (r *Runner) teardown() {
 //
 // The returned Result is owned by the runner and re-filled by the next
 // Run; copy anything that must outlive it. If protocol code panics — on a
-// process coroutine, or inside an Exec closure — Run first crash-unwinds
-// every other process so nothing leaks, then re-raises the original panic
-// values as a ProcessPanics. A panic raised by the policy is re-raised
-// as-is, after the same unwinding.
+// process coroutine, or inside an Exec closure — Run crashes every other
+// process, then re-raises the original panic values as a ProcessPanics. A
+// panic raised by the policy is re-raised as-is, after the same crashes.
+//
+// Crashed processes unwind lazily (see the package comment), so a panic
+// raised by a protocol defer while a crashed body unwinds is reported as a
+// ProcessPanic by the Run whose resume unwinds it: on a one-shot runner
+// that is this Run, which tears its coroutines down before it returns; on
+// a WithReuse runner it is the later Run that starts the process again.
 func (r *Runner) Run(body Body) (*Result, error) {
 	if r.closed {
 		panic("sched: Run called on a closed Runner")
@@ -493,18 +548,17 @@ func (r *Runner) Run(body Body) (*Result, error) {
 	if r.policy == nil {
 		panic("sched: Run called without a policy (NewRunner with a nil policy requires Reset first)")
 	}
-	r.beginRun()
 	if !r.live {
 		r.spawn()
 	}
 	if !r.reuse {
-		defer r.teardown()
+		defer r.teardown() // on a re-raised scheduler-side panic
 	}
-	for _, p := range r.procs {
-		p.body = body
-		r.pull(p) // resume: runs the body up to its first request
+	r.beginRun(body)
+	err := r.schedule()
+	if !r.reuse {
+		r.teardown() // crashed bodies unwind here, inside this Run
 	}
-	budgetErr := r.schedule()
 
 	var pps ProcessPanics
 	for i, rec := range r.panics {
@@ -515,18 +569,16 @@ func (r *Runner) Run(body Body) (*Result, error) {
 	if pps != nil {
 		panic(pps)
 	}
-	if budgetErr != nil {
-		return r.result, budgetErr
-	}
-	return r.result, nil
+	return r.result, err
 }
 
-// beginRun resets the per-run state in place (no allocation).
+// beginRun resets the per-run state in place (no allocation) and
+// delivers body to every process, leaving all of them unstarted.
 //
 //gsb:hotpath
-func (r *Runner) beginRun() {
+func (r *Runner) beginRun(body Body) {
 	res := r.result
-	for i := 0; i < r.n; i++ {
+	for i, p := range r.procs {
 		res.Outputs[i] = 0
 		res.Decided[i] = false
 		res.Crashed[i] = false
@@ -534,38 +586,37 @@ func (r *Runner) beginRun() {
 		r.panics[i] = nil
 		r.pendingReq[i] = stepReq{}
 		r.pendingOn[i] = false
-		r.procs[i].dead = false
+		p.body = body
 	}
 	res.Schedule = res.Schedule[:0]
 	res.Steps = 0
 	r.exited = 0
 	r.crashedCount = 0
+	r.unstarted = r.n
 	r.granting = -1
 	r.script, r.scriptPos = nil, 0
 	if rp, ok := r.policy.(replayPolicy); ok {
 		r.script = rp.replayPrefix()
 	}
+	r.tailStart, r.tail = len(r.script), -1
+	if k := len(r.script); k > 0 {
+		r.tail = r.script[k-1]
+		for r.tailStart > 0 && r.script[r.tailStart-1] == r.tail {
+			r.tailStart--
+		}
+	}
 	r.stepper, r.hasHeld, r.policyPanic = nil, false, nil
 	r.resumes = 0
 }
 
-// pull resumes a process coroutine and records its next pending request;
-// a parked (or terminated) coroutine means the process exited this run.
-// A crash is final: if a crashed process's body re-enters Exec (e.g. a
-// defer that recovered the crash unwind), every further request is denied
-// until the coroutine parks — it can never re-enter the pending set. The
-// denials terminate because each one unwinds to the body's next enclosing
-// defer, and the defer stack is finite.
+// resume resumes a process coroutine and records its next pending
+// request; a parked (or terminated) coroutine means the process exited
+// this run.
 //
 //gsb:hotpath
-func (r *Runner) pull(p *Proc) {
+func (r *Runner) resume(p *Proc) {
 	r.resumes++
 	req, ok := p.next()
-	for ok && !req.parked && p.dead {
-		p.crashed = true
-		r.resumes++
-		req, ok = p.next()
-	}
 	if !ok || req.parked {
 		r.exited++
 		return
@@ -574,34 +625,71 @@ func (r *Runner) pull(p *Proc) {
 	r.pendingOn[p.index] = true
 }
 
-// crashPull denies the process's step: the resumed Exec unwinds the
-// coroutine back to its park, and the process exits the run.
+// resumeStepper resumes p as the stepper: to grant it the step the
+// scheduler just took for it, or — when p is unstarted — to start it,
+// its first request then taking the replayed choice that picks it in
+// place. When p owns the last block of the replayed prefix, the decision
+// after that block is the policy's first, and p may take it in place, so
+// every process still unstarted is started first.
 //
 //gsb:hotpath
-func (r *Runner) crashPull(p *Proc) {
-	p.dead = true
-	p.crashed = true
-	r.pull(p)
+func (r *Runner) resumeStepper(p *Proc) {
+	if r.unstarted > 0 && p.index == r.tail && r.scriptPos >= r.tailStart {
+		r.startAll(p)
+	}
+	if p.body != nil {
+		r.unstarted--
+	}
+	r.stepper = p
+	r.resume(p)
+	r.stepper = nil
+}
+
+// startAll starts every unstarted process except skip (which may be nil),
+// in index order, for a decision the policy takes: each runs to its first
+// request and suspends there.
+//
+//gsb:hotpath
+func (r *Runner) startAll(skip *Proc) {
+	for _, p := range r.procs {
+		if p.body != nil && p != skip {
+			r.unstarted--
+			r.resume(p)
+		}
+	}
+}
+
+// unstartedPick returns the process the next replayed choice picks when
+// it is unstarted, nil otherwise.
+//
+//gsb:hotpath
+func (r *Runner) unstartedPick() *Proc {
+	if pick := r.script[r.scriptPos]; pick >= 0 && pick < r.n && r.procs[pick].body != nil {
+		return r.procs[pick]
+	}
+	return nil
 }
 
 // schedule is the scheduler loop. Whenever it decides, every live process
-// is suspended at its yield point with a pending request — the coroutine
-// invariant — so the policy always chooses among all live processes and
-// the run is deterministic. The loop applies decisions the granted
-// process took in place but could not apply itself (grantInPlace), and
-// takes the rest itself. If an Exec closure (or the policy) panics here,
-// the deferred recovery crash-unwinds every suspended process, so the
-// panic cannot leak a coroutine; closure panics are attributed to the
-// granted process and re-raised by Run, any other panic is re-raised
-// as-is.
+// is unstarted or suspended at its yield point with a pending request —
+// the coroutine invariant — and before it consults the policy it starts
+// the unstarted ones, so the policy always chooses among all live
+// processes and the run is deterministic. The loop applies decisions the
+// granted process took in place but could not apply itself
+// (grantInPlace), and takes the rest itself. Every early end of the run
+// goes through crashLive, which resumes nothing. If an Exec closure (or
+// the policy) panics here, the deferred recovery crashes every live
+// process the same way, so the panic cannot leak a coroutine; closure
+// panics are attributed to the granted process and re-raised by Run, any
+// other panic is re-raised as-is.
 //
 //gsb:hotpath
-func (r *Runner) schedule() (budgetErr error) {
+func (r *Runner) schedule() (err error) {
 	//gsb:alloc-ok open-coded defer in a function whose closure does not escape: stack-allocated; gsbbench pins the hot path at 0 allocs/run
 	defer func() {
 		if rec := recover(); rec != nil {
 			g := r.granting
-			r.unwind()
+			r.crashLive(nil)
 			if g >= 0 {
 				r.panics[g] = rec
 			} else {
@@ -613,66 +701,61 @@ func (r *Runner) schedule() (budgetErr error) {
 	for r.exited < r.n {
 		if rec := r.policyPanic; rec != nil {
 			// The policy panicked during an in-place decision; the
-			// deciding process has yielded, so every process is
-			// suspended and the recovery above unwinds them all.
+			// deciding process has yielded, and the recovery above
+			// crashes every live process.
 			r.policyPanic = nil
 			panic(rec)
 		}
+		if r.result.Steps >= r.maxSteps {
+			// No decision is held here: in-place decisions are taken
+			// only within the budget.
+			return r.crashLive(ErrStepBudget)
+		}
 
 		var dec Decision
-		if budgetErr != nil || r.result.Steps >= r.maxSteps {
-			// Budget exhausted: crash everyone still pending to unwind
-			// their coroutines, then report the error. (No decision is
-			// held here: in-place decisions are taken only within the
-			// budget.)
-			if budgetErr == nil {
-				budgetErr = ErrStepBudget
+		switch {
+		case r.hasHeld: // taken in place by the process that just yielded
+			dec, r.hasHeld = r.held, false
+		case r.scriptPos < len(r.script):
+			if p := r.unstartedPick(); p != nil {
+				r.resumeStepper(p)
+				continue
 			}
-			dec = Decision{Proc: r.firstPending(), Crash: true}
-		} else {
-			switch {
-			case r.hasHeld: // taken in place by the process that just yielded
-				dec, r.hasHeld = r.held, false
-			case r.scriptPos < len(r.script):
-				dec = r.replay()
-			default:
-				dec = r.nextDecision()
+			dec = r.replay()
+		default:
+			if r.unstarted > 0 {
+				r.startAll(nil)
+				continue
 			}
-			if dec.Abort {
-				// The policy discards the rest of the run (e.g. a
-				// partial-order-reduction probe whose continuations are
-				// all covered elsewhere): unwind like a budget overrun
-				// and report ErrRunAborted — or the structured error
-				// (e.g. ErrScheduleDiverged) the decision carries.
-				budgetErr = ErrRunAborted
-				if dec.Err != nil {
-					budgetErr = dec.Err
-				}
-				dec = Decision{Proc: r.firstPending(), Crash: true}
-			} else if dec.Proc < 0 || dec.Proc >= r.n || !r.pendingOn[dec.Proc] {
-				// A broken policy: unwind the run (rather than leaking
-				// every suspended process) and surface the error.
-				budgetErr = fmt.Errorf("sched: policy chose process %d which has no pending step", dec.Proc)
-				dec = Decision{Proc: r.firstPending(), Crash: true}
+			dec = r.nextDecision()
+		}
+		if dec.Abort {
+			// The policy discards the rest of the run (e.g. a
+			// partial-order-reduction probe whose continuations are all
+			// covered elsewhere): report ErrRunAborted — or the
+			// structured error (e.g. ErrScheduleDiverged) the decision
+			// carries.
+			if dec.Err != nil {
+				return r.crashLive(dec.Err)
 			}
+			return r.crashLive(ErrRunAborted)
+		}
+		if dec.Proc < 0 || dec.Proc >= r.n || !r.pendingOn[dec.Proc] {
+			return r.crashLive(fmt.Errorf("sched: policy chose process %d which has no pending step", dec.Proc))
+		}
+		if dec.Crash {
+			if r.crashedCount+1 == r.n {
+				// The crash is recorded and the run ends with it; the
+				// violation is reported as its error.
+				err = fmt.Errorf("sched: policy crashed all %d processes; the wait-free model allows at most n-1 crashes", r.n)
+			}
+			r.crash(dec.Proc)
+			continue
 		}
 
 		req := r.pendingReq[dec.Proc]
 		r.pendingReq[dec.Proc] = stepReq{} // drop the op/closure references
 		r.pendingOn[dec.Proc] = false
-		if dec.Crash {
-			if r.crashedCount+1 == r.n && budgetErr == nil {
-				// Record the violation but keep unwinding so nothing
-				// leaks; the error is reported after the run drains.
-				budgetErr = fmt.Errorf("sched: policy crashed all %d processes; the wait-free model allows at most n-1 crashes", r.n)
-			}
-			r.crashedCount++
-			r.result.Crashed[dec.Proc] = true
-			r.result.Schedule = append(r.result.Schedule, Step{Proc: dec.Proc, Crash: true}) //gsb:alloc-ok reused Result.Schedule scratch, steady-state capacity after the first run
-			r.crashPull(r.procs[dec.Proc])
-			continue
-		}
-
 		p := r.procs[dec.Proc]
 		if req.fn != nil {
 			r.granting = dec.Proc
@@ -684,20 +767,59 @@ func (r *Runner) schedule() (budgetErr error) {
 		// the process itself before it can request again, and its typed
 		// requests are decided in place until the running process
 		// changes.
-		r.stepper = p
-		r.pull(p)
-		r.stepper = nil
+		r.resumeStepper(p)
 	}
-	return budgetErr
+	return err
+}
+
+// crash records the crash of live process i — Result.Crashed and the
+// Schedule entry — and takes it out of the run without resuming it. A
+// started process's coroutine stays suspended at its request, marked
+// dead, and unwinds when it is next resumed; an unstarted process is
+// crashed by dropping its body.
+//
+//gsb:hotpath
+func (r *Runner) crash(i int) {
+	p := r.procs[i]
+	r.crashedCount++
+	r.result.Crashed[i] = true
+	r.result.Schedule = append(r.result.Schedule, Step{Proc: i, Crash: true}) //gsb:alloc-ok reused Result.Schedule scratch, steady-state capacity after the first run
+	r.pendingReq[i] = stepReq{}
+	r.pendingOn[i] = false
+	if p.body != nil {
+		p.body = nil
+		r.unstarted--
+	} else {
+		p.dead = true
+	}
+	r.exited++
+}
+
+// crashLive ends the run early with err: it crashes every live process —
+// pending, unstarted, or running an Exec closure that panicked — in index
+// order, resuming none of them.
+//
+//gsb:hotpath
+func (r *Runner) crashLive(err error) error {
+	r.stepper, r.hasHeld = nil, false
+	for i, p := range r.procs {
+		if r.pendingOn[i] || p.body != nil || i == r.granting {
+			r.crash(i)
+		}
+	}
+	r.granting = -1
+	return err
 }
 
 // grantInPlace takes the decision after p's new request for op on p's
-// own stack. Every other live process is suspended at its yield point,
-// so the pending set is the one the scheduler would see. When the
-// decision picks p (and is no crash or abort) the step is granted here
-// and p carries on without a switch; any other decision is held for the
-// scheduler, which applies it once p has yielded — the policy is
-// consulted exactly once per decision either way.
+// own stack. Every other live process is unstarted or suspended at its
+// yield point, so the pending set is the one the scheduler would see.
+// When the decision picks p (and is no crash or abort) the step is granted
+// here and p carries on without a switch; any other decision is held for
+// the scheduler, which applies it once p has yielded — the policy is
+// consulted exactly once per decision either way. A replayed choice that
+// picks an unstarted process is left to the scheduler, which starts it: p
+// yields with its request and takes no decision.
 //
 //gsb:hotpath
 func (r *Runner) grantInPlace(p *Proc, op *Op) bool {
@@ -712,8 +834,15 @@ func (r *Runner) grantInPlace(p *Proc, op *Op) bool {
 	}
 	r.pendingReq[i] = stepReq{op: op}
 	r.pendingOn[i] = true
+	// Past the prefix no process is unstarted: the scheduler started
+	// them all for its own first policy decision, or resumeStepper
+	// started the rest before resuming the owner of the prefix's last
+	// block, whose in-place decision is the policy's first.
 	var dec Decision
 	if k < len(r.script) {
+		if r.unstartedPick() != nil {
+			return false
+		}
 		dec = r.replay()
 	} else if d, ok := r.consultInPlace(); ok {
 		dec = d
@@ -756,38 +885,6 @@ func (r *Runner) grant(i int, op *Op) {
 	r.result.Schedule = append(r.result.Schedule, Step{Proc: i, Op: op.Label}) //gsb:alloc-ok reused Result.Schedule scratch, steady-state capacity after the first run
 }
 
-// firstPending returns the smallest process index with a pending step:
-// the one a budget overrun, abort or broken policy crashes first.
-func (r *Runner) firstPending() int {
-	for i, on := range r.pendingOn {
-		if on {
-			return i
-		}
-	}
-	panic("sched: no pending step while processes are live")
-}
-
-// unwind crash-denies every process still suspended after a scheduler
-// panic — the one whose Exec closure was executing, and everyone parked
-// on a pending request — so the panic leaks no coroutine. The coroutine
-// invariant guarantees there is no third kind of live process: the
-// scheduler only panics while it holds control, with every process
-// suspended.
-func (r *Runner) unwind() {
-	r.stepper, r.hasHeld = nil, false
-	if g := r.granting; g >= 0 {
-		r.granting = -1
-		r.crashPull(r.procs[g])
-	}
-	for i := 0; i < r.n; i++ {
-		if r.pendingOn[i] {
-			r.pendingOn[i] = false
-			r.pendingReq[i] = stepReq{}
-			r.crashPull(r.procs[i])
-		}
-	}
-}
-
 // replay takes the next decision of a replayPolicy's prefix: its next
 // choice, checked against the pending table. It makes no policy call and
 // builds no pending list or op copy.
@@ -807,7 +904,7 @@ func (r *Runner) replay() Decision {
 func (r *Runner) diverged(pick int) error {
 	var pending []int
 	for i, on := range r.pendingOn {
-		if on {
+		if on || r.procs[i].body != nil { // an unstarted process is pending its first step
 			pending = append(pending, i)
 		}
 	}

@@ -277,7 +277,8 @@ func SeededSlice(ctx context.Context, n int, ids []int, opts ExploreOptions, tot
 				if err == nil {
 					// Crashes on a completed run are adversary-injected
 					// (samplers never crash, so this counts 0 for them);
-					// errored runs crash-unwind everyone, which is cleanup,
+					// an errored run ends by recording a crash of every
+					// live process, which is how the runner stops the run,
 					// not an adversary event.
 					met.addCrashEvents(res.Crashed)
 				}
